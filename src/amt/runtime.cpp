@@ -90,26 +90,41 @@ bool Locality::put_parcel(Rank dst, ParcelWriter writer, bool admissible) {
   if (admission_on_ && dst != rank_) {
     DestQueue& queue = *parcel_queues_[dst];
     const auto bound = static_cast<std::int64_t>(admission_.queue_bound);
+    // Reserves a slot below the bound in a CAS loop, so concurrent senders
+    // cannot all pass a stale check and overshoot it together.
+    std::int64_t depth = 0;
+    auto try_reserve = [&queue, bound, &depth] {
+      std::int64_t current = queue.outstanding.load(std::memory_order_relaxed);
+      while (current < bound) {
+        if (queue.outstanding.compare_exchange_weak(
+                current, current + 1, std::memory_order_relaxed)) {
+          depth = current + 1;
+          return true;
+        }
+      }
+      return false;
+    };
+    bool reserved = false;
     if (admissible) {
       switch (admission_.policy) {
         case AdmissionConfig::Policy::kShed:
         case AdmissionConfig::Policy::kDeadline:
-          if (queue.outstanding.load(std::memory_order_relaxed) >= bound) {
+          if (!try_reserve()) {
             admit_shed_.fetch_add(1, std::memory_order_relaxed);
             ctr_admit_shed_.add();
             return false;
           }
+          reserved = true;
           break;
         case AdmissionConfig::Policy::kBlock:
-          if (queue.outstanding.load(std::memory_order_relaxed) >= bound) {
+          if (!try_reserve()) {
             admit_block_waits_.fetch_add(1, std::memory_order_relaxed);
             // Runs tasks + parcelport progress while waiting, so send
             // completions keep draining even when every worker blocks here.
-            scheduler_.wait_until([&queue, bound] {
-              return queue.outstanding.load(std::memory_order_relaxed) <
-                     bound;
-            });
+            // Returns only once the predicate has taken a slot.
+            scheduler_.wait_until(try_reserve);
           }
+          reserved = true;
           break;
         case AdmissionConfig::Policy::kNone:
           break;
@@ -125,8 +140,9 @@ bool Locality::put_parcel(Rank dst, ParcelWriter writer, bool admissible) {
     // Every accepted parcel — admissible or exempt — occupies a queue slot
     // until its send completes; exempt traffic fills the bound but is never
     // refused by it.
-    const std::int64_t depth =
-        queue.outstanding.fetch_add(1, std::memory_order_relaxed) + 1;
+    if (!reserved) {
+      depth = queue.outstanding.fetch_add(1, std::memory_order_relaxed) + 1;
+    }
     gauge_parcel_queue_depth_.add();
     std::int64_t peak = admit_peak_depth_.load(std::memory_order_relaxed);
     while (depth > peak && !admit_peak_depth_.compare_exchange_weak(

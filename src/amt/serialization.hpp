@@ -190,6 +190,7 @@ class InputArchive {
 
   void read_raw(void* out, std::size_t size) {
     assert(cursor_ + size <= end_ && "archive underflow");
+    if (size == 0) return;  // an empty container's data() may be null
     std::memcpy(out, cursor_, size);
     cursor_ += size;
   }

@@ -42,9 +42,10 @@ struct RxEvent {
   /// kRecv: the datagram contents, moved (not copied) off the wire. The
   /// consumer owns it and may move it onward.
   std::vector<std::byte> payload;
-  /// The SRQ slot this datagram consumed; held until the event (or whoever
-  /// the consumer hands it to) is destroyed, so receive-buffer back-pressure
-  /// (RNR) behaves exactly as if the payload had been copied into the slot.
+  /// The SRQ receive credit this datagram consumed; held until the event (or
+  /// whoever the consumer hands it to) is destroyed, so receive-buffer
+  /// back-pressure (RNR) behaves exactly as if the payload occupied a
+  /// pre-posted receive buffer.
   /// Backends without SRQ modelling (shm) leave it empty.
   RecvBuffer credit;
 

@@ -1,33 +1,32 @@
-// Shared-receive-queue buffer pool. A fixed set of fixed-size buffers is
-// pre-allocated at NIC construction (modelling pre-posted, registered receive
-// buffers). Acquire/release go through a lock-free MPMC free-list so any
-// worker thread can recycle buffers without a global lock.
+// Shared-receive-queue receive credits. A NIC starts with `depth` credits,
+// one per pre-posted receive buffer it models; each delivered datagram holds
+// one until its consumer lets go, and a delivery that finds none left stalls
+// the channel (RNR). The payload itself travels in RxEvent::payload, so no
+// buffer memory backs the credits. Acquire/release are a lock-free counter,
+// so any worker thread can return a credit without a global lock.
 #pragma once
 
-#include <cassert>
+#include <atomic>
 #include <cstddef>
-#include <memory>
-#include <vector>
-
-#include "queues/mpmc_queue.hpp"
 
 namespace fabric {
 
 class SrqPool;
 
-/// Owning handle to one SRQ buffer; returns it to the pool on destruction.
-/// `size` is the valid payload length, `capacity()` the buffer size.
+/// Move-only token for one SRQ credit; returns it to the pool on destruction.
 class RecvBuffer {
  public:
   RecvBuffer() = default;
-  RecvBuffer(SrqPool* pool, std::byte* data, std::size_t size)
-      : pool_(pool), data_(data), size_(size) {}
+  explicit RecvBuffer(SrqPool* pool) : pool_(pool) {}
 
-  RecvBuffer(RecvBuffer&& other) noexcept { move_from(other); }
+  RecvBuffer(RecvBuffer&& other) noexcept : pool_(other.pool_) {
+    other.pool_ = nullptr;
+  }
   RecvBuffer& operator=(RecvBuffer&& other) noexcept {
     if (this != &other) {
       release();
-      move_from(other);
+      pool_ = other.pool_;
+      other.pool_ = nullptr;
     }
     return *this;
   }
@@ -35,65 +34,45 @@ class RecvBuffer {
   RecvBuffer& operator=(const RecvBuffer&) = delete;
   ~RecvBuffer() { release(); }
 
-  std::byte* data() const { return data_; }
-  std::size_t size() const { return size_; }
-  bool valid() const { return data_ != nullptr; }
+  bool valid() const { return pool_ != nullptr; }
 
   void release();
 
  private:
-  void move_from(RecvBuffer& other) {
-    pool_ = other.pool_;
-    data_ = other.data_;
-    size_ = other.size_;
-    other.pool_ = nullptr;
-    other.data_ = nullptr;
-    other.size_ = 0;
-  }
-
   SrqPool* pool_ = nullptr;
-  std::byte* data_ = nullptr;
-  std::size_t size_ = 0;
 };
 
 class SrqPool {
  public:
   SrqPool(std::size_t depth, std::size_t buffer_size)
-      : buffer_size_(buffer_size),
-        storage_(depth * buffer_size),
-        free_list_(depth) {
-    for (std::size_t i = 0; i < depth; ++i) {
-      const bool pushed = free_list_.try_push(storage_.data() + i * buffer_size);
-      assert(pushed);
-      (void)pushed;
+      : buffer_size_(buffer_size), credits_(depth) {}
+
+  /// Takes one credit; false when the SRQ is exhausted (RNR condition).
+  bool try_acquire() {
+    std::size_t credits = credits_.load(std::memory_order_relaxed);
+    while (credits > 0) {
+      if (credits_.compare_exchange_weak(credits, credits - 1,
+                                         std::memory_order_acquire,
+                                         std::memory_order_relaxed)) {
+        return true;
+      }
     }
+    return false;
   }
 
-  /// Returns nullptr when the SRQ is exhausted (RNR condition).
-  std::byte* try_acquire() {
-    auto buf = free_list_.try_pop();
-    return buf ? *buf : nullptr;
-  }
+  void release() { credits_.fetch_add(1, std::memory_order_release); }
 
-  void release(std::byte* buffer) {
-    const bool pushed = free_list_.try_push(buffer);
-    assert(pushed);  // cannot overflow: we only recycle our own buffers
-    (void)pushed;
-  }
-
+  /// Largest datagram payload one receive buffer holds.
   std::size_t buffer_size() const { return buffer_size_; }
 
  private:
   std::size_t buffer_size_;
-  std::vector<std::byte> storage_;
-  queues::MpmcQueue<std::byte*> free_list_;
+  std::atomic<std::size_t> credits_;
 };
 
 inline void RecvBuffer::release() {
-  if (pool_ != nullptr && data_ != nullptr) pool_->release(data_);
+  if (pool_ != nullptr) pool_->release();
   pool_ = nullptr;
-  data_ = nullptr;
-  size_ = 0;
 }
 
 }  // namespace fabric

@@ -58,7 +58,7 @@ struct Config {
   double pkt_rate_mpps = 0.0;    // NIC message-rate cap; 0 = unlimited
   unsigned num_rails = 2;        // parallel ordered channels per direction
   std::size_t srq_buffer_size = 16 * 1024;  // max datagram payload
-  std::size_t srq_depth = 4096;  // pre-posted receive buffers per NIC
+  std::size_t srq_depth = 4096;  // SRQ receive credits per NIC
   std::size_t tx_window = 4096;  // max in-flight packets per NIC
   bool zero_time = false;        // tests: disable latency/bandwidth gating
   // Chaos testing: adds a seeded-random extra delay in [0, jitter_us] to

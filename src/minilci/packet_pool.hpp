@@ -13,6 +13,10 @@
 //
 // Exhaustion is a transient condition surfaced to the caller as
 // Status::kRetry, per LCI's explicit-retry contract.
+//
+// The arena is allocated without being initialised, so building a pool
+// touches none of its pages: the OS faults a page in only when a packet on it
+// is first written, and construction time does not grow with capacity.
 #pragma once
 
 #include <array>
@@ -20,6 +24,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <unordered_set>
@@ -87,10 +92,11 @@ class PacketPool {
              std::size_t cache_size = 0)
       : packet_size_(packet_size),
         cache_size_(cache_size),
-        storage_(num_packets * packet_size),
+        storage_(std::make_unique_for_overwrite<std::byte[]>(num_packets *
+                                                             packet_size)),
         free_list_(num_packets) {
     for (std::size_t i = 0; i < num_packets; ++i) {
-      const bool ok = free_list_.try_push(storage_.data() + i * packet_size);
+      const bool ok = free_list_.try_push(storage_.get() + i * packet_size);
       assert(ok);
       (void)ok;
     }
@@ -312,7 +318,7 @@ class PacketPool {
 
   std::size_t packet_size_;
   std::size_t cache_size_;
-  std::vector<std::byte> storage_;
+  std::unique_ptr<std::byte[]> storage_;  // left uninitialised: see top
   queues::MpmcQueue<std::byte*> free_list_;
   std::array<common::CachePadded<Magazine>, kNumMagazines> magazines_;
   std::atomic<std::uint64_t> cache_hits_{0};

@@ -110,6 +110,12 @@ class LciParcelport final : public amt::Parcelport {
     next_tag_.store(value, std::memory_order_relaxed);
   }
 
+  /// Test hook: takes a packet from the device's eager pool, so a test can
+  /// hold it and exhaust a small pool on purpose.
+  std::optional<minilci::PacketBuffer> try_alloc_packet() {
+    return device_.try_alloc_packet();
+  }
+
  private:
   // user_context values in completion entries: either a Connection* or this
   // sentinel marking an sr-protocol header receive.

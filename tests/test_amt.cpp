@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -1079,20 +1080,25 @@ TEST(AdmissionTest, PoolExhaustedFastpathFallsBackAndConserves) {
   // empty must fall back to the connection path with exactly one fallback
   // count and NO credit skew — pre-fix, the exhausted branch could
   // double-count the parcel against the admission window, so `accepted ==
-  // executed` never converged. A deep block window keeps injection retries
-  // holding the lone packet while other senders' allocs fail.
+  // executed` never converged. The test holds the pool's only packet until
+  // the first fallback is counted, so exhaustion does not depend on how
+  // the senders race.
   setenv("AMTNET_LCI_PACKET_POOL", "1", 1);
   amt::RuntimeConfig config = lci_fastpath_config("lci_psr_cq_mt_fp_i", 2, 4);
   config.parcelport.admission.policy = amt::AdmissionConfig::Policy::kBlock;
   config.parcelport.admission.queue_bound = 64;
-  // A tiny TX window under a 64-deep flood: injections spend most of their
-  // time in kRetry, and the retrying sender holds the pool's only packet
-  // across the full wire latency — so concurrent senders reliably find the
-  // pool empty.
+  // A tiny TX window under a 64-deep flood: once the packet is back,
+  // injections still spend most of their time in kRetry holding it, so
+  // the pool keeps running dry for the rest of the flood too.
   config.fabric.tx_window = 8;
   amt::Runtime runtime(config, amtnet::default_parcelport_factory());
   runtime.start();
   unsetenv("AMTNET_LCI_PACKET_POOL");
+  auto* port =
+      dynamic_cast<pplci::LciParcelport*>(runtime.locality(0).parcelport());
+  ASSERT_NE(port, nullptr);
+  std::optional<minilci::PacketBuffer> held = port->try_alloc_packet();
+  ASSERT_TRUE(held.has_value());
   actions::ping_count.store(0);
   constexpr int kSenders = 4;
   constexpr int kPerSender = 200;
@@ -1105,6 +1111,16 @@ TEST(AdmissionTest, PoolExhaustedFastpathFallsBackAndConserves) {
       senders_done.fetch_add(1);
     });
   }
+#ifndef AMTNET_TELEMETRY_DISABLED
+  // A sender can only get past the empty pool by falling back.
+  EXPECT_TRUE(testutil::spin_until(
+      [&] {
+        return runtime.telemetry().snapshot().counter(
+                   "pplci/loc0/fastpath_fallbacks") > 0;
+      },
+      std::chrono::milliseconds(20000)));
+#endif
+  held.reset();  // the fallback's header needs the packet back
   constexpr int kTotal = kSenders * kPerSender;
   const bool converged = testutil::spin_until(
       [&] {

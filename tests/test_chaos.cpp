@@ -172,7 +172,7 @@ void run_chaos(const char* variant, const FaultMix& mix, std::uint64_t seed) {
   EXPECT_EQ(large_sum.load(), expected_large);
 
 #ifndef AMTNET_TELEMETRY_DISABLED
-  const auto snap = runtime->telemetry().snapshot();
+  auto snap = runtime->telemetry().snapshot();
   const auto sum_leaf = [&snap](const char* leaf) {
     std::uint64_t total = 0;
     const std::string suffix = std::string("/") + leaf;
@@ -185,6 +185,18 @@ void run_chaos(const char* variant, const FaultMix& mix, std::uint64_t seed) {
     }
     return total;
   };
+  // Every reliable datagram must end acked. When only acks were dropped,
+  // every parcel has arrived while the unacked datagrams still wait for
+  // their retransmit timers, so the counters below are read once nothing
+  // is pending.
+  EXPECT_TRUE(testutil::spin_until(
+      [&] {
+        snap = runtime->telemetry().snapshot();
+        return sum_leaf("data_sent") == sum_leaf("acked");
+      },
+      std::chrono::milliseconds(60000)))
+      << sum_leaf("data_sent") - sum_leaf("acked")
+      << " reliable datagrams were never acked";
   if (mix.faults.drop > 0.0 && sum_leaf("faults_dropped") > 0) {
     EXPECT_GT(sum_leaf("retransmits"), 0u)
         << "datagrams were dropped but nothing was retransmitted";

@@ -1,9 +1,12 @@
 // End-to-end integration tests: action invocation over the real network
 // stack (fabric -> minimpi/minilci -> parcelport -> runtime) for EVERY
 // parcelport configuration in the paper's Table 1, plus the ablation
-// variants (mpi_fine, mpi_orig). Also covers the wire-header encoding and
-// cross-configuration message equivalence.
+// variants (mpi_fine, mpi_orig). Also covers the wire-header encoding,
+// cross-configuration message equivalence and the memory a stack faults in
+// while it is built.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <array>
 #include <atomic>
@@ -1095,4 +1098,27 @@ TEST(LciTagWraparound, FollowupsSurviveThe32BitTagWrap) {
   done.wait(runtime->locality(0).scheduler());
   EXPECT_TRUE(all_ok) << "a parcel was lost or corrupted across the tag wrap";
   runtime->stop();
+}
+
+// ---------------- stack construction footprint ----------------
+
+TEST(StackFootprint, BuildStartStopFaultsUnder16MiB) {
+  // The SRQ is credits only and the packet pools leave their arenas
+  // untouched, so building a stack must not fault in memory in proportion
+  // to SRQ depth x buffer size or pool size x packet size (2 NICs x 64 MiB
+  // plus 2 devices x 32 MiB at the defaults, ~49 k pages when filled).
+  const auto minor_faults = [] {
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return usage.ru_minflt;
+  };
+  const long budget_pages = (16L << 20) / sysconf(_SC_PAGESIZE);
+  const long before = minor_faults();
+  StackOptions options;  // sim, lci_psr_cq_pin_i, two localities
+  auto runtime = amtnet::make_runtime(options);
+  runtime->stop();
+  runtime.reset();
+  const long faulted = minor_faults() - before;
+  EXPECT_LT(faulted, budget_pages)
+      << "building a default stack faulted " << faulted << " pages";
 }
