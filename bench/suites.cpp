@@ -401,15 +401,15 @@ SuiteSpec fig7() {
       s.points.push_back(latency_point(config, size, 1, kLatencyStepsSized));
     }
   }
-  // Straddle the small-parcel fast-path threshold: the ping-pong's
-  // whole-parcel frame is payload + 53 B (24 B frame header + 4 B action
-  // id + 8 B promise id + two u32 args + a 9 B inline-vector prefix), and
-  // the fast path takes frames up to the 8192 B eager threshold. These
-  // two payloads put the frame at threshold -8 B and +8 B, so the curve
-  // shows the step where parcels leave the one-message path — only
-  // meaningful for the LCI rows; the MPI rows have no fast path but keep
-  // the sweep aligned. (test_parcelports pins this arithmetic against the
-  // fastpath counters.)
+  // Straddle the small-parcel fast-path threshold: the ping-pong's count-1
+  // batch frame is payload + 53 B (16 B batch header + 8 B entry header +
+  // 4 B action id + 8 B promise id + two u32 args + a 9 B inline-vector
+  // prefix), and the fast path takes frames up to the 8192 B eager
+  // threshold. These two payloads put the frame at threshold -8 B and
+  // +8 B, so the curve shows the step where parcels leave the one-message
+  // path — only meaningful for the LCI rows; the MPI rows have no fast path
+  // but keep the sweep aligned. (test_parcelports pins this arithmetic
+  // against the fastpath counters.)
   for (const char* config : kElevenConfigs) {
     for (std::size_t size : {8192u - 53 - 8, 8192u - 53 + 8}) {
       s.points.push_back(latency_point(config, size, 1, kLatencyStepsSized));
@@ -672,7 +672,7 @@ SuiteSpec ablation_aggregation() {
   // ---- adaptive aggregation engine --------------------------------------
   // Three modes per variant, all behind the same blocking admission window
   // (the backpressure signal that activates coalescing): the connection-path
-  // bypass (fpoff), the whole-parcel fast path alone, and the fast path
+  // bypass (fpoff), the count-1 frame fast path alone, and the fast path
   // with the adaptive aggregator on top.
   struct Mode {
     const char* label;
@@ -931,7 +931,7 @@ SuiteSpec ablation_fastpath() {
   s.figure = "small-parcel fast-path ablation";
   s.expectation =
       "with the fast path on, every sub-threshold parcel rides one "
-      "whole-parcel frame instead of header + connection bookkeeping: the "
+      "count-1 batch frame instead of header + connection bookkeeping: the "
       "8B flood rate improves across all variants (most on sr, which "
       "otherwise pays receiver-connection acquisition per message) and "
       "single-parcel latency drops; at 4KiB the frame still fits and the "

@@ -105,7 +105,7 @@ class Aggregator {
     common::SpinMutex mutex;
     std::vector<Entry> entries;
     /// Projected wire size of the batch frame holding `entries`
-    /// (header + length table + entry bodies). 0 when empty.
+    /// (wire_header.hpp's batch_frame_size). 0 when empty.
     std::size_t bytes = 0;
     common::Nanos oldest_ns = 0;
     /// Lock-free emptiness hint so poll/flush_idle skip idle destinations

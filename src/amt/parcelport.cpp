@@ -116,15 +116,6 @@ ParcelportConfig ParcelportConfig::parse(const std::string& name) {
       config.lci_fastpath = 1;
     } else if (token == "fpoff") {
       config.lci_fastpath = 0;
-    } else if (token.size() > 2 && token.compare(0, 2, "fp") == 0 &&
-               token.find_first_not_of("0123456789", 2) == std::string::npos) {
-      const unsigned long cap = std::stoul(token.substr(2));
-      if (cap < 2) {
-        throw std::invalid_argument(
-            "fast-path cap must be >= 2 bytes (use fpoff to disable): " +
-            name);
-      }
-      config.lci_fastpath = static_cast<long>(cap);
     } else if (token == "aggoff") {
       config.lci_agg = 0;
     } else if (token.size() > 4 && token.compare(0, 4, "aggt") == 0 &&
@@ -208,8 +199,6 @@ std::string ParcelportConfig::name() const {
       out += "_fpoff";
     } else if (lci_fastpath == 1) {
       out += "_fp";
-    } else if (lci_fastpath > 1) {
-      out += "_fp" + std::to_string(lci_fastpath);
     }
     if (lci_agg == 0) {
       out += "_aggoff";

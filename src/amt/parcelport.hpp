@@ -86,13 +86,11 @@ struct ParcelportConfig {
   /// AMTNET_LCI_RDV_SHARDS when absent from the name.
   std::size_t lci_rdv_shards = 0;
 
-  /// LCI small-parcel fast path (put-with-completion): parcels whose whole
-  /// frame fits under a byte cap travel as ONE self-contained message and
-  /// dispatch from a remote handler. -1 = unset in the name (the
-  /// AMTNET_LCI_FASTPATH env decides, default on); "fpoff" = 0 (disabled),
-  /// "fp" = 1 (on, capped at the eager threshold), "fp<N>" = N (on, capped
-  /// at min(N, eager threshold) bytes).
-  long lci_fastpath = -1;
+  /// LCI small-parcel fast path (put-with-completion): a parcel whose
+  /// count-1 batch frame fits one medium message (the eager threshold)
+  /// travels as that ONE message and dispatches from a remote handler.
+  /// -1 = unset in the name (on); "fp" = 1 (on); "fpoff" = 0 (disabled).
+  int lci_fastpath = -1;
 
   /// LCI adaptive aggregation: per-destination coalescing of fast-path-sized
   /// parcels into multi-parcel batch frames, activated only while the

@@ -5,7 +5,8 @@
 // transmission chunk — plus optional piggybacked transmission and
 // non-zero-copy chunks when they fit under the maximum header size (set to
 // the zero-copy serialization threshold; 512 bytes fixed in the "original"
-// MPI parcelport variant).
+// MPI parcelport variant). Also the LCI parcelport's one eager frame, the
+// batch frame below.
 #pragma once
 
 #include <cassert>
@@ -162,7 +163,7 @@ inline std::size_t encode_header_to(const OutMessage& msg,
       offset += sizeof(size);
     }
   }
-  if (plan.piggy_main) {
+  if (plan.piggy_main && !msg.main_chunk.empty()) {
     std::memcpy(out + offset, msg.main_chunk.data(), msg.main_chunk.size());
   }
   // Checksum the full encoded message (crc field as zero) and patch it in.
@@ -180,160 +181,18 @@ inline void encode_header(const OutMessage& msg, const HeaderPlan& plan,
 }
 
 // ---------------------------------------------------------------------------
-// Whole-parcel frame (the small-parcel fast path, modeled on hpx5's
-// put-with-completion): when an entire HPX message fits under the eager
-// threshold, the sender packs header + transmission-chunk sizes + every
-// chunk payload into ONE self-contained frame and the receiver dispatches it
-// straight from a handler completion — no follow-up tags, no
-// ReceiverConnection. Same integrity story as the header message: CRC-32
-// over the whole frame plus the per-channel sequence number for duplicate
-// detection under fault injection.
-// ---------------------------------------------------------------------------
-
-inline constexpr std::uint32_t kWholeParcelMagic = 0xFA57CA11u;
-
-struct WholeParcelHeader {
-  std::uint32_t magic = kWholeParcelMagic;  // frame-kind guard
-  std::uint32_t num_zchunks = 0;
-  std::uint64_t main_size = 0;
-  /// Same per-destination-channel generation counter as WireHeader::seq
-  /// (fast-path, batch, and header frames share one sequence space per
-  /// channel).
-  std::uint32_t seq = 0;
-  /// CRC-32 over the entire encoded frame (this field as zero).
-  std::uint32_t crc = 0;
-};
-static_assert(sizeof(WholeParcelHeader) == 24);
-
-/// Frame layout: [header][zchunk sizes: u64 x num_zchunks][main][z0][z1]...
-inline std::size_t whole_parcel_frame_size(const OutMessage& msg) {
-  std::size_t size = sizeof(WholeParcelHeader) +
-                     msg.zchunks.size() * sizeof(std::uint64_t) +
-                     msg.main_chunk.size();
-  for (const ZChunk& chunk : msg.zchunks) size += chunk.size;
-  return size;
-}
-
-/// Serializes the whole message into `out` (capacity must be >=
-/// whole_parcel_frame_size). Returns the bytes written. Allocation-free:
-/// the LCI parcelport encodes directly into a pool packet.
-inline std::size_t encode_whole_parcel_to(const OutMessage& msg,
-                                          std::uint32_t seq, std::byte* out,
-                                          std::size_t capacity) {
-  WholeParcelHeader header;
-  header.num_zchunks = static_cast<std::uint32_t>(msg.zchunks.size());
-  header.main_size = msg.main_chunk.size();
-  header.seq = seq;
-  header.crc = 0;
-
-  const std::size_t total = whole_parcel_frame_size(msg);
-  assert(total <= capacity);
-  (void)capacity;
-  std::memcpy(out, &header, sizeof(header));
-  std::size_t offset = sizeof(header);
-  for (const ZChunk& chunk : msg.zchunks) {
-    const std::uint64_t size = chunk.size;
-    std::memcpy(out + offset, &size, sizeof(size));
-    offset += sizeof(size);
-  }
-  std::memcpy(out + offset, msg.main_chunk.data(), msg.main_chunk.size());
-  offset += msg.main_chunk.size();
-  for (const ZChunk& chunk : msg.zchunks) {
-    std::memcpy(out + offset, chunk.data, chunk.size);
-    offset += chunk.size;
-  }
-  const std::uint32_t crc = common::crc32(out, total);
-  std::memcpy(out + offsetof(WholeParcelHeader, crc), &crc, sizeof(crc));
-  return total;
-}
-
-/// Verified view into a whole-parcel frame: field values plus the byte
-/// offset of the main chunk. The payload stays in the caller's buffer so
-/// the dedup check can run before anything is copied.
-struct WholeParcelView {
-  WholeParcelHeader fields;
-  std::size_t main_offset = 0;
-  std::vector<std::uint64_t> zsizes;
-};
-
-/// Decodes and *verifies* a whole-parcel frame: magic, CRC over the full
-/// frame, and an exact size match (header + sizes + every payload byte must
-/// account for the buffer, nothing more, nothing less). Corruption that got
-/// past the transport fail-fasts here, like decode_header.
-inline WholeParcelView decode_whole_parcel(const std::byte* data,
-                                           std::size_t size) {
-  WholeParcelView view;
-  if (size < sizeof(WholeParcelHeader)) {
-    common::integrity_fail("whole-parcel frame truncated: ", size,
-                           " bytes < ", sizeof(WholeParcelHeader));
-  }
-  std::memcpy(&view.fields, data, sizeof(WholeParcelHeader));
-  if (view.fields.magic != kWholeParcelMagic) {
-    common::integrity_fail("whole-parcel frame bad magic: ",
-                           view.fields.magic, " size=", size);
-  }
-  const std::uint32_t zero = 0;
-  std::uint32_t crc = common::crc32(data, offsetof(WholeParcelHeader, crc));
-  crc = common::crc32(&zero, sizeof(zero), crc);
-  crc = common::crc32(data + sizeof(WholeParcelHeader),
-                      size - sizeof(WholeParcelHeader), crc);
-  if (crc != view.fields.crc) {
-    common::integrity_fail(
-        "whole-parcel frame CRC mismatch: stored=", view.fields.crc,
-        " computed=", crc, " size=", size, " seq=", view.fields.seq,
-        " num_zchunks=", view.fields.num_zchunks,
-        " main_size=", view.fields.main_size);
-  }
-  const std::size_t tchunk_size =
-      static_cast<std::size_t>(view.fields.num_zchunks) *
-      sizeof(std::uint64_t);
-  if (sizeof(WholeParcelHeader) + tchunk_size > size) {
-    common::integrity_fail("whole-parcel tchunk overruns frame: ",
-                           tchunk_size, " bytes of ", size);
-  }
-  view.zsizes = parse_tchunk(data + sizeof(WholeParcelHeader), tchunk_size);
-  view.main_offset = sizeof(WholeParcelHeader) + tchunk_size;
-  std::size_t expected = view.main_offset + view.fields.main_size;
-  for (const std::uint64_t zsize : view.zsizes) expected += zsize;
-  if (expected != size) {
-    common::integrity_fail("whole-parcel frame size mismatch: declared ",
-                           expected, " bytes, got ", size);
-  }
-  return view;
-}
-
-/// Moves the payloads out of a decoded frame into an InMessage. The zchunk
-/// payloads (rare on this path; most fast-path parcels have none) are
-/// copied out first, then the frame vector itself is trimmed in place and
-/// becomes the main chunk — the arrival allocation is reused, so the
-/// dominant small-parcel case decodes without copying the payload again.
-inline InMessage take_whole_parcel_body(std::vector<std::byte>&& frame,
-                                        const WholeParcelView& view,
-                                        Rank source) {
-  InMessage in;
-  in.source = source;
-  std::size_t offset = view.main_offset + view.fields.main_size;
-  in.zchunks.reserve(view.zsizes.size());
-  for (const std::uint64_t zsize : view.zsizes) {
-    in.zchunks.emplace_back(frame.begin() + offset,
-                            frame.begin() + offset + zsize);
-    offset += zsize;
-  }
-  frame.erase(frame.begin(),
-              frame.begin() + static_cast<std::ptrdiff_t>(view.main_offset));
-  frame.resize(view.fields.main_size);
-  in.main_chunk = std::move(frame);
-  return in;
-}
-
-// ---------------------------------------------------------------------------
-// Multi-parcel batch frame (adaptive aggregation): generalizes the
-// whole-parcel frame to N sub-threshold parcels coalesced for one
-// destination. One frame = one injection, one CRC-32, one per-channel seq —
-// the per-message wire overhead the aggregation ablation argues over. A
-// count-prefixed length table lets the receiver slice the frame into entries
-// without touching the payload bytes; each entry is a self-contained
-// [num_zchunks][main_size][zsizes][main][zchunks] record.
+// Batch frame: the one eager frame of the LCI parcelport. A parcel small
+// enough to fit one medium message travels as a count-1 frame straight away
+// (the small-parcel fast path, modeled on hpx5's put-with-completion); under
+// backpressure amt::Aggregator coalesces several parcels for one destination
+// into a longer one. Either way the receiver dispatches it straight from a
+// handler completion — no follow-up tags, no ReceiverConnection — and one
+// frame costs one injection, one CRC-32 and one per-channel seq.
+//
+// Layout: [BatchHeader][entry 0]...[entry count-1]; each entry is
+// [u32 num_zchunks][u32 main_size][u64 zsize x num_zchunks][main][z0][z1]...
+// Entries are self-delimiting, so a count-1 frame costs 24 B over its
+// payload bytes.
 // ---------------------------------------------------------------------------
 
 inline constexpr std::uint32_t kBatchMagic = 0xA66B47C4u;
@@ -342,44 +201,51 @@ struct BatchHeader {
   std::uint32_t magic = kBatchMagic;  // frame-kind guard
   std::uint32_t count = 0;            // parcels in this frame (>= 1)
   /// Same per-destination-channel generation counter as WireHeader::seq —
-  /// one seq per frame, not per sub-parcel.
+  /// one seq per frame, not per parcel.
   std::uint32_t seq = 0;
   /// CRC-32 over the entire encoded frame (this field as zero).
   std::uint32_t crc = 0;
 };
 static_assert(sizeof(BatchHeader) == 16);
 
-/// Per-entry fixed overhead: u32 num_zchunks + u64 main_size.
-inline constexpr std::size_t kBatchEntryHeaderBytes =
-    sizeof(std::uint32_t) + sizeof(std::uint64_t);
+struct BatchEntryHeader {
+  std::uint32_t num_zchunks = 0;
+  std::uint32_t main_size = 0;
+};
+static_assert(sizeof(BatchEntryHeader) == 8);
 
-/// Smallest possible batch frame: header + one length-table slot + one
-/// empty entry. `agg<BYTES>` thresholds below this are rejected at config
-/// parse — they could never fit even a zero-payload parcel.
+/// Smallest possible frame: the header plus one empty entry. `agg<BYTES>`
+/// thresholds below this are rejected at config parse — they could never
+/// fit even a zero-payload parcel.
 inline constexpr std::size_t kMinAggFrameBytes =
-    sizeof(BatchHeader) + sizeof(std::uint32_t) + kBatchEntryHeaderBytes;
+    sizeof(BatchHeader) + sizeof(BatchEntryHeader);
 
-/// Encoded size of one entry record inside a batch frame (excludes its
-/// length-table slot).
+/// Bytes one message adds to a frame: its entry header, zchunk sizes and
+/// every payload byte.
 inline std::size_t batch_entry_size(const OutMessage& msg) {
-  std::size_t size = kBatchEntryHeaderBytes +
+  std::size_t size = sizeof(BatchEntryHeader) +
                      msg.zchunks.size() * sizeof(std::uint64_t) +
                      msg.main_chunk.size();
   for (const ZChunk& chunk : msg.zchunks) size += chunk.size;
   return size;
 }
 
-/// Frame layout: [BatchHeader][u32 length x count][entry 0]...[entry n-1].
+/// Size of the frame carrying `count` messages.
 inline std::size_t batch_frame_size(const OutMessage* const* msgs,
                                     std::size_t count) {
-  std::size_t size = sizeof(BatchHeader) + count * sizeof(std::uint32_t);
+  std::size_t size = sizeof(BatchHeader);
   for (std::size_t i = 0; i < count; ++i) size += batch_entry_size(*msgs[i]);
   return size;
 }
 
-/// Serializes `count` messages into one batch frame at `out` (capacity must
-/// be >= batch_frame_size). Returns the bytes written. Allocation-free: the
-/// LCI parcelport encodes straight into a pool packet at flush time.
+/// Size of the count-1 frame carrying `msg` alone.
+inline std::size_t batch_frame_size(const OutMessage& msg) {
+  return sizeof(BatchHeader) + batch_entry_size(msg);
+}
+
+/// Serializes `count` messages into one frame at `out` (capacity must be >=
+/// batch_frame_size). Returns the bytes written. Allocation-free: the LCI
+/// parcelport encodes straight into a pool packet.
 inline std::size_t encode_batch_to(const OutMessage* const* msgs,
                                    std::size_t count, std::uint32_t seq,
                                    std::byte* out, std::size_t capacity) {
@@ -395,28 +261,25 @@ inline std::size_t encode_batch_to(const OutMessage* const* msgs,
   std::memcpy(out, &header, sizeof(header));
   std::size_t offset = sizeof(header);
   for (std::size_t i = 0; i < count; ++i) {
-    const std::uint32_t len =
-        static_cast<std::uint32_t>(batch_entry_size(*msgs[i]));
-    std::memcpy(out + offset, &len, sizeof(len));
-    offset += sizeof(len);
-  }
-  for (std::size_t i = 0; i < count; ++i) {
     const OutMessage& msg = *msgs[i];
-    const std::uint32_t num_zchunks =
-        static_cast<std::uint32_t>(msg.zchunks.size());
-    const std::uint64_t main_size = msg.main_chunk.size();
-    std::memcpy(out + offset, &num_zchunks, sizeof(num_zchunks));
-    offset += sizeof(num_zchunks);
-    std::memcpy(out + offset, &main_size, sizeof(main_size));
-    offset += sizeof(main_size);
+    assert(msg.main_chunk.size() <= UINT32_MAX);  // main_size is u32
+    BatchEntryHeader entry;
+    entry.num_zchunks = static_cast<std::uint32_t>(msg.zchunks.size());
+    entry.main_size = static_cast<std::uint32_t>(msg.main_chunk.size());
+    std::memcpy(out + offset, &entry, sizeof(entry));
+    offset += sizeof(entry);
     for (const ZChunk& chunk : msg.zchunks) {
       const std::uint64_t size = chunk.size;
       std::memcpy(out + offset, &size, sizeof(size));
       offset += sizeof(size);
     }
-    std::memcpy(out + offset, msg.main_chunk.data(), msg.main_chunk.size());
-    offset += msg.main_chunk.size();
+    // An empty vector's data() may be null, which memcpy must not see.
+    if (!msg.main_chunk.empty()) {
+      std::memcpy(out + offset, msg.main_chunk.data(), msg.main_chunk.size());
+      offset += msg.main_chunk.size();
+    }
     for (const ZChunk& chunk : msg.zchunks) {
+      if (chunk.size == 0) continue;
       std::memcpy(out + offset, chunk.data, chunk.size);
       offset += chunk.size;
     }
@@ -427,28 +290,21 @@ inline std::size_t encode_batch_to(const OutMessage* const* msgs,
   return total;
 }
 
-/// Verified view into a batch frame: header fields plus the byte offset and
-/// length of every entry record. The payload stays in the caller's buffer so
-/// the (single) dedup check runs before anything is copied.
-struct BatchView {
-  BatchHeader fields;
-  std::vector<std::size_t> offsets;  // entry i starts at offsets[i]
-  std::vector<std::uint32_t> lengths;
-};
-
-/// Decodes and *verifies* a batch frame: magic, CRC over the full frame, a
-/// non-zero count whose length table fits, and an exact size match (header +
-/// table + every declared entry byte must account for the buffer). Anything
-/// inconsistent fail-fasts like the other frame kinds.
-inline BatchView decode_batch(const std::byte* data, std::size_t size) {
-  BatchView view;
+/// Decodes and *verifies* a frame in one bounds-checked walk: magic, CRC
+/// over the full frame, a non-zero count, and every entry's declared sizes
+/// lying inside the frame and accounting for it exactly. Returns the
+/// verified header; nothing is copied, so the (single) dedup check can run
+/// before any parcel is delivered. Anything inconsistent fail-fasts like
+/// decode_header.
+inline BatchHeader decode_batch(const std::byte* data, std::size_t size) {
+  BatchHeader header;
   if (size < sizeof(BatchHeader)) {
     common::integrity_fail("batch frame truncated: ", size, " bytes < ",
                            sizeof(BatchHeader));
   }
-  std::memcpy(&view.fields, data, sizeof(BatchHeader));
-  if (view.fields.magic != kBatchMagic) {
-    common::integrity_fail("batch frame bad magic: ", view.fields.magic,
+  std::memcpy(&header, data, sizeof(BatchHeader));
+  if (header.magic != kBatchMagic) {
+    common::integrity_fail("batch frame bad magic: ", header.magic,
                            " size=", size);
   }
   const std::uint32_t zero = 0;
@@ -456,87 +312,108 @@ inline BatchView decode_batch(const std::byte* data, std::size_t size) {
   crc = common::crc32(&zero, sizeof(zero), crc);
   crc = common::crc32(data + sizeof(BatchHeader), size - sizeof(BatchHeader),
                       crc);
-  if (crc != view.fields.crc) {
-    common::integrity_fail("batch frame CRC mismatch: stored=",
-                           view.fields.crc, " computed=", crc, " size=", size,
-                           " seq=", view.fields.seq,
-                           " count=", view.fields.count);
+  if (crc != header.crc) {
+    common::integrity_fail("batch frame CRC mismatch: stored=", header.crc,
+                           " computed=", crc, " size=", size,
+                           " seq=", header.seq, " count=", header.count);
   }
-  const std::size_t count = view.fields.count;
-  const std::size_t table_end =
-      sizeof(BatchHeader) + count * sizeof(std::uint32_t);
-  if (count == 0 || table_end > size) {
-    common::integrity_fail("batch frame bad count: ", count, " entries in ",
-                           size, " bytes");
+  // Every entry takes at least its entry header, which bounds the walk.
+  if (header.count == 0 ||
+      header.count > (size - sizeof(BatchHeader)) / sizeof(BatchEntryHeader)) {
+    common::integrity_fail("batch frame bad count: ", header.count,
+                           " entries in ", size, " bytes");
   }
-  view.lengths.resize(count);
-  std::memcpy(view.lengths.data(), data + sizeof(BatchHeader),
-              count * sizeof(std::uint32_t));
-  view.offsets.resize(count);
-  std::size_t offset = table_end;
-  for (std::size_t i = 0; i < count; ++i) {
-    view.offsets[i] = offset;
-    if (view.lengths[i] < kBatchEntryHeaderBytes ||
-        view.lengths[i] > size - offset) {
-      common::integrity_fail("batch entry ", i, " overruns frame: length ",
-                             view.lengths[i], " at ", offset, " of ", size);
+  // `left` is what remains of the frame past `offset`; every declared size
+  // is compared against it before it is consumed, so no sum can overflow.
+  std::size_t offset = sizeof(BatchHeader);
+  for (std::uint32_t i = 0; i < header.count; ++i) {
+    std::size_t left = size - offset;
+    BatchEntryHeader entry;
+    if (left < sizeof(entry)) {
+      common::integrity_fail("batch entry ", i, " overruns frame: header at ",
+                             offset, " of ", size);
     }
-    offset += view.lengths[i];
+    std::memcpy(&entry, data + offset, sizeof(entry));
+    offset += sizeof(entry);
+    left -= sizeof(entry);
+    if (entry.num_zchunks > left / sizeof(std::uint64_t)) {
+      common::integrity_fail("batch entry ", i, " overruns frame: ",
+                             entry.num_zchunks, " zchunk sizes at ", offset,
+                             " of ", size);
+    }
+    const std::byte* zsizes = data + offset;
+    const std::size_t tchunk_size =
+        static_cast<std::size_t>(entry.num_zchunks) * sizeof(std::uint64_t);
+    offset += tchunk_size;
+    left -= tchunk_size;
+    if (entry.main_size > left) {
+      common::integrity_fail("batch entry ", i, " overruns frame: main ",
+                             entry.main_size, " bytes at ", offset, " of ",
+                             size);
+    }
+    offset += entry.main_size;
+    left -= entry.main_size;
+    for (std::uint32_t z = 0; z < entry.num_zchunks; ++z) {
+      std::uint64_t zsize = 0;
+      std::memcpy(&zsize, zsizes + z * sizeof(zsize), sizeof(zsize));
+      if (zsize > left) {
+        common::integrity_fail("batch entry ", i, " overruns frame: zchunk ",
+                               z, " of ", zsize, " bytes at ", offset, " of ",
+                               size);
+      }
+      offset += zsize;
+      left -= zsize;
+    }
   }
   if (offset != size) {
     common::integrity_fail("batch frame size mismatch: declared ", offset,
                            " bytes, got ", size);
   }
-  return view;
+  return header;
 }
 
-/// Copies one entry record out of a decoded batch frame into an InMessage.
-/// Entries share the arrival buffer, so unlike take_whole_parcel_body the
-/// payloads are copied — the batched regime trades that copy for one
-/// injection per frame.
-inline InMessage take_batch_entry(const std::byte* entry, std::size_t length,
-                                  Rank source) {
-  std::uint32_t num_zchunks = 0;
-  std::uint64_t main_size = 0;
-  std::memcpy(&num_zchunks, entry, sizeof(num_zchunks));
-  std::memcpy(&main_size, entry + sizeof(num_zchunks), sizeof(main_size));
-  std::size_t offset = kBatchEntryHeaderBytes;
-  const std::size_t tchunk_size =
-      static_cast<std::size_t>(num_zchunks) * sizeof(std::uint64_t);
-  if (offset + tchunk_size > length) {
-    common::integrity_fail("batch entry tchunk overruns entry: ", tchunk_size,
-                           " bytes at ", offset, " of ", length);
+/// Hands every entry of a frame that decode_batch verified to
+/// `deliver(InMessage&&)`, in frame order. Every entry but the last is
+/// copied out; the last takes the arrival buffer itself, trimmed in place
+/// to its main chunk, so a count-1 frame is received without a second
+/// allocation or copy-out of its payload.
+template <typename Deliver>
+void take_batch_entries(std::vector<std::byte>&& frame, Rank source,
+                        Deliver&& deliver) {
+  std::uint32_t count = 0;
+  std::memcpy(&count, frame.data() + offsetof(BatchHeader, count),
+              sizeof(count));
+  std::size_t offset = sizeof(BatchHeader);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    BatchEntryHeader entry;
+    std::memcpy(&entry, frame.data() + offset, sizeof(entry));
+    const std::size_t zsizes = offset + sizeof(entry);
+    const std::size_t main =
+        zsizes + static_cast<std::size_t>(entry.num_zchunks) *
+                     sizeof(std::uint64_t);
+    offset = main + entry.main_size;
+    InMessage in;
+    in.source = source;
+    in.zchunks.reserve(entry.num_zchunks);
+    for (std::uint32_t z = 0; z < entry.num_zchunks; ++z) {
+      std::uint64_t zsize = 0;
+      std::memcpy(&zsize, frame.data() + zsizes + z * sizeof(zsize),
+                  sizeof(zsize));
+      in.zchunks.emplace_back(frame.data() + offset,
+                              frame.data() + offset + zsize);
+      offset += zsize;
+    }
+    if (i + 1 < count) {
+      in.main_chunk.assign(frame.data() + main,
+                           frame.data() + main + entry.main_size);
+    } else {
+      frame.resize(main + entry.main_size);
+      frame.erase(frame.begin(),
+                  frame.begin() + static_cast<std::ptrdiff_t>(main));
+      in.main_chunk = std::move(frame);
+    }
+    deliver(std::move(in));
   }
-  const auto zsizes = parse_tchunk(entry + offset, tchunk_size);
-  offset += tchunk_size;
-  std::size_t expected = offset + main_size;
-  for (const std::uint64_t zsize : zsizes) expected += zsize;
-  if (expected != length) {
-    common::integrity_fail("batch entry size mismatch: declared ", expected,
-                           " bytes, got ", length);
-  }
-  InMessage in;
-  in.source = source;
-  in.main_chunk.assign(entry + offset, entry + offset + main_size);
-  offset += main_size;
-  in.zchunks.reserve(zsizes.size());
-  for (const std::uint64_t zsize : zsizes) {
-    in.zchunks.emplace_back(entry + offset, entry + offset + zsize);
-    offset += zsize;
-  }
-  return in;
-}
-
-/// Leading u32 of a frame riding the fast-path tag: distinguishes
-/// whole-parcel frames from batch frames before full decode.
-inline std::uint32_t peek_frame_magic(const std::byte* data,
-                                      std::size_t size) {
-  if (size < sizeof(std::uint32_t)) {
-    common::integrity_fail("frame too short for magic: ", size, " bytes");
-  }
-  std::uint32_t magic = 0;
-  std::memcpy(&magic, data, sizeof(magic));
-  return magic;
 }
 
 /// Decoded header view (piggybacked chunks are copied out).
@@ -577,7 +454,7 @@ inline DecodedHeader decode_header(const std::byte* data, std::size_t size) {
     const std::size_t tchunk_size =
         static_cast<std::size_t>(decoded.fields.num_zchunks) *
         sizeof(std::uint64_t);
-    if (offset + tchunk_size > size) {
+    if (tchunk_size > size - offset) {
       common::integrity_fail("wire header tchunk overruns message: ",
                              tchunk_size, " bytes at ", offset, " of ", size);
     }
@@ -585,7 +462,7 @@ inline DecodedHeader decode_header(const std::byte* data, std::size_t size) {
     offset += tchunk_size;
   }
   if (decoded.fields.piggy_main) {
-    if (offset + decoded.fields.main_size > size) {
+    if (decoded.fields.main_size > size - offset) {
       common::integrity_fail("wire header main chunk overruns message: ",
                              decoded.fields.main_size, " bytes at ", offset,
                              " of ", size);

@@ -128,11 +128,6 @@ const std::vector<Knob>& knob_registry() {
        "rendezvous-state table shards in minilci (rounded up to a power of "
        "two; 1 = single global table) when the name carries no rs<N> token",
        "ablation_progress"},
-      {Kind::kEnv, "AMTNET_LCI_FASTPATH", "1 (on)",
-       "small-parcel fast path: 0/off disables, 1/on caps at the eager "
-       "threshold, N >= 2 caps whole-parcel frames at N bytes; only read "
-       "when the config name carries no fp token",
-       "ablation_fastpath"},
       {Kind::kEnv, "AMTNET_LCI_AGG", "0 (off)",
        "adaptive aggregation: batch-frame byte cap for per-destination "
        "coalescing of fast-path parcels under backpressure (0/off disables; "
@@ -285,17 +280,17 @@ const std::vector<Knob>& knob_registry() {
        "LCI rendezvous-state shard count (rs1 = the single global-table "
        "baseline)",
        "ablation_progress"},
-      {Kind::kConfigToken, "fp | fp<N> | fpoff", "on (eager threshold)",
-       "LCI small-parcel fast path: whole parcels at or under the cap ride "
-       "a single put-with-completion frame, skipping connection acquisition "
-       "and follow-up transfers (fp = cap at the eager threshold, fp<N> = "
-       "cap at N bytes, fpoff = kill switch)",
+      {Kind::kConfigToken, "fp | fpoff", "on",
+       "LCI small-parcel fast path: a parcel whose count-1 batch frame fits "
+       "the eager threshold rides that single put-with-completion frame, "
+       "skipping connection acquisition and follow-up transfers (fpoff = "
+       "kill switch)",
        "ablation_fastpath"},
       {Kind::kConfigToken, "agg<N> | aggt<U> | aggoff", "off",
        "LCI adaptive aggregation: coalesce fast-path parcels bound for a "
        "backpressured destination into one batch frame of at most N bytes "
-       "(agg<N>, minimum the one-parcel frame overhead), flushed by size, "
-       "window stall (the buffer absorbed every outstanding admission "
+       "(agg<N>, minimum 24 B, the one-parcel frame overhead), flushed by "
+       "size, window stall (the buffer absorbed every outstanding admission "
        "credit), age (aggt<U> microseconds), idle background work, or stop "
        "(aggoff = kill switch)",
        "ablation_aggregation"},

@@ -64,43 +64,6 @@ std::size_t resolve_pipeline_depth(const amt::ParcelportConfig& config) {
   return 0;
 }
 
-std::size_t resolve_fastpath_cap(const amt::ParcelportConfig& config,
-                                 std::size_t eager_threshold) {
-  // The config name ("fp"/"fp<N>"/"fpoff" token) wins; the environment fills
-  // in otherwise; the default is ON at the eager threshold. The cap bounds
-  // the *whole frame* (header + every payload byte) and can never exceed
-  // one medium message.
-  long value = config.lci_fastpath;
-  if (value < 0) {
-    value = 1;
-    if (const char* s = std::getenv("AMTNET_LCI_FASTPATH")) {
-      const std::string text(s);
-      if (text == "0" || text == "off" || text == "false") {
-        value = 0;
-      } else if (text == "1" || text == "on" || text == "true") {
-        value = 1;
-      } else {
-        value = std::strtol(text.c_str(), nullptr, 10);
-        if (value < 0) value = 1;
-      }
-    }
-  }
-  if (value == 0) return 0;
-  if (value == 1) return eager_threshold;
-  if (static_cast<std::size_t>(value) > eager_threshold) {
-    // The clamp is silent per message, so surface it once per process: an
-    // fp<N> beyond the eager threshold cannot take effect (a frame must fit
-    // one medium message).
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true, std::memory_order_relaxed)) {
-      AMTNET_LOG_WARN("pplci: fast-path cap fp", value,
-                      " exceeds the eager threshold ", eager_threshold,
-                      " — clamping to ", eager_threshold, " bytes");
-    }
-  }
-  return std::min(static_cast<std::size_t>(value), eager_threshold);
-}
-
 std::size_t resolve_agg_cap(const amt::ParcelportConfig& config,
                             std::size_t eager_threshold) {
   // The config name ("agg<N>"/"aggoff" token) wins; the environment fills in
@@ -163,8 +126,9 @@ LciParcelport::LciParcelport(const amt::ParcelportContext& context)
           make_device_config(context).eager_threshold)),
       pipeline_depth_(resolve_pipeline_depth(context.config)),
       progress_threads_(resolve_progress_threads(context.config)),
-      fastpath_cap_(resolve_fastpath_cap(
-          context.config, make_device_config(context).eager_threshold)),
+      fastpath_cap_(context.config.lci_fastpath == 0
+                        ? 0
+                        : make_device_config(context).eager_threshold),
       agg_cap_(resolve_agg_cap(context.config,
                                make_device_config(context).eager_threshold)),
       device_(*context.fabric, context.rank, make_device_config(context),
@@ -215,9 +179,8 @@ LciParcelport::LciParcelport(const amt::ParcelportContext& context)
   comp_cq_.attach_depth_gauge(
       &registry.gauge(pp_metric(context.rank, "comp_cq_depth")));
   if (fastpath_cap_ > 0 || agg_cap_ > 0) {
-    // Whole-parcel and batch frames arrive on the reserved tag and dispatch
-    // straight from progress context — armed before any progress thread
-    // exists. The two frame kinds are told apart by their leading magic.
+    // Batch frames arrive on the reserved tag and dispatch straight from
+    // progress context — armed before any progress thread exists.
     device_.register_tag_handler(
         minilci::kFastpathTag,
         minilci::Comp::handler(&LciParcelport::fastpath_handler, this));
@@ -333,7 +296,7 @@ std::uint32_t LciParcelport::alloc_tags(std::size_t count) {
   // start at — or wrap through — the reserved header tag 0, or follow-up
   // traffic would collide with sr-protocol headers; nor may it reach the
   // reserved fast-path tag 0xFFFFFFFF (the last value before the wrap), or
-  // a follow-up piece would fire the whole-parcel handler. Receivers route
+  // a follow-up piece would fire the batch-frame handler. Receivers route
   // pieces with u32 subtraction (entry.tag - tag_base), which stays correct
   // across the wrap as long as the range itself is contiguous mod 2^32,
   // which the restart below guarantees.
@@ -369,6 +332,55 @@ void LciParcelport::send_backoff(unsigned& round) {
   ++round;
 }
 
+std::optional<minilci::PacketBuffer> LciParcelport::alloc_packet(
+    unsigned max_rounds) {
+  unsigned backoff_round = 0;
+  for (unsigned attempt = 0; max_rounds == 0 || attempt < max_rounds;
+       ++attempt) {
+    if (auto packet = device_.try_alloc_packet()) return packet;
+    if (progress_type_ == amt::ParcelportConfig::ProgressType::kWorker) {
+      try_progress();
+    }
+    send_backoff(backoff_round);
+  }
+  return std::nullopt;
+}
+
+void LciParcelport::inject_packet(amt::Rank dst, minilci::Tag tag,
+                                  minilci::PacketBuffer& packet,
+                                  const minilci::Comp& comp,
+                                  std::uint64_t ctx) {
+  // Explicit retry with bounded backoff on transient resource exhaustion,
+  // per LCI's explicit-retry contract.
+  unsigned backoff_round = 0;
+  for (;;) {
+    const common::Status status =
+        protocol_ == amt::ParcelportConfig::Protocol::kPutSendRecv
+            ? device_.put_dyn_packet(dst, tag, packet, comp, ctx)
+            : device_.sendm_packet(dst, tag, packet, comp, ctx);
+    if (status == common::Status::kOk) return;
+    if (progress_type_ == amt::ParcelportConfig::ProgressType::kWorker) {
+      try_progress();
+    }
+    send_backoff(backoff_round);
+  }
+}
+
+bool LciParcelport::send_frame(amt::Rank dst,
+                               const amt::OutMessage* const* msgs,
+                               std::size_t count, unsigned alloc_rounds) {
+  std::optional<minilci::PacketBuffer> packet = alloc_packet(alloc_rounds);
+  if (!packet) return false;
+  const std::uint32_t seq =
+      header_seq_tx_[dst].value.fetch_add(1, std::memory_order_relaxed);
+  packet->set_size(amt::encode_batch_to(msgs, count, seq, packet->data(),
+                                        packet->capacity()));
+  // Local completion of *_packet is synchronous on kOk, so the caller may
+  // fire its done callbacks as soon as this returns.
+  inject_packet(dst, minilci::kFastpathTag, *packet, minilci::Comp::none());
+  return true;
+}
+
 void LciParcelport::send(amt::Rank dst, amt::OutMessage msg,
                          common::UniqueFunction<void()> done) {
   AMTNET_TRACE_SCOPE("pplci", "send");
@@ -383,72 +395,34 @@ void LciParcelport::send(amt::Rank dst, amt::OutMessage msg,
       inner();
     };
   }
-  // Adaptive aggregation: a batchable parcel bound for a backpressured
-  // destination joins the per-destination coalescing buffer instead of
-  // injecting its own frame; the aggregator's flush callback (flush_batch)
-  // fires `done` later. An idle destination falls through to the
-  // single-parcel fast path unbuffered — the load-aware switch.
-  if (aggregator_) {
-    const std::size_t one_entry_frame = sizeof(amt::BatchHeader) +
-                                        sizeof(std::uint32_t) +
-                                        amt::batch_entry_size(msg);
-    if (one_entry_frame <= agg_cap_) {
-      const std::int64_t depth =
-          context_.queue_depth ? context_.queue_depth(dst) : 0;
-      if (aggregator_->enqueue(dst, depth, msg, done)) return;
-    }
+  // Every small parcel travels as a batch frame on the reserved tag. Adaptive
+  // aggregation: one bound for a backpressured destination joins the
+  // per-destination coalescing buffer, and the aggregator's flush callback
+  // (flush_batch) fires `done` later. An idle destination falls through to
+  // the fast path below, unbuffered — the load-aware switch.
+  const std::size_t frame_size = amt::batch_frame_size(msg);
+  if (aggregator_ && frame_size <= agg_cap_) {
+    const std::int64_t depth =
+        context_.queue_depth ? context_.queue_depth(dst) : 0;
+    if (aggregator_->enqueue(dst, depth, msg, done)) return;
   }
 
-  // Small-parcel fast path (put-with-completion): the whole message travels
-  // as one self-contained frame on the reserved tag and is dispatched by
-  // the destination's handler completion — no connection, no follow-up
-  // tags, no completion-queue round trip. Local completion of *_packet is
-  // synchronous on kOk, so `done` can fire inline with Comp::none().
+  // Small-parcel fast path (put-with-completion): the parcel goes out now
+  // as a count-1 frame, dispatched by the destination's handler completion
+  // — no connection, no follow-up tags, no completion-queue round trip.
+  // The packet-pool wait is bounded: sustained exhaustion (every in-flight
+  // frame holding a packet) must NOT spin forever — the connection path
+  // below has its own buffers and its completion chain frees packets. The
+  // hand-off keeps `done` intact, so admission credits are conserved.
   if (fastpath_cap_ > 0) {
-    if (const std::size_t frame_size = amt::whole_parcel_frame_size(msg);
-        frame_size <= fastpath_cap_) {
-      // Bounded packet-pool wait: sustained exhaustion (every in-flight
-      // frame holding a packet) must NOT spin forever — the connection path
-      // below has its own buffers and its completion chain frees packets.
-      // The hand-off keeps `done` intact, so admission credits are
-      // conserved, and is counted exactly once (below) like any other
-      // fallback.
-      std::optional<minilci::PacketBuffer> packet;
-      unsigned backoff_round = 0;
-      constexpr unsigned kFastpathAllocRounds = 8;
-      for (unsigned attempt = 0; attempt < kFastpathAllocRounds; ++attempt) {
-        packet = device_.try_alloc_packet();
-        if (packet) break;
-        if (progress_type_ == amt::ParcelportConfig::ProgressType::kWorker) {
-          try_progress();
-        }
-        send_backoff(backoff_round);
-      }
-      if (packet) {
-        const std::uint32_t seq =
-            header_seq_tx_[dst].value.fetch_add(1, std::memory_order_relaxed);
-        packet->set_size(amt::encode_whole_parcel_to(
-            msg, seq, packet->data(), packet->capacity()));
-        backoff_round = 0;
-        for (;;) {
-          const common::Status status =
-              protocol_ == amt::ParcelportConfig::Protocol::kPutSendRecv
-                  ? device_.put_dyn_packet(dst, minilci::kFastpathTag,
-                                           *packet, minilci::Comp::none())
-                  : device_.sendm_packet(dst, minilci::kFastpathTag, *packet,
-                                         minilci::Comp::none());
-          if (status == common::Status::kOk) break;
-          if (progress_type_ ==
-              amt::ParcelportConfig::ProgressType::kWorker) {
-            try_progress();
-          }
-          send_backoff(backoff_round);
-        }
-        ctr_fastpath_hits_.add();
-        gauge_send_queue_depth_.sub();
-        done();
-        return;
-      }
+    constexpr unsigned kFastpathAllocRounds = 8;
+    const amt::OutMessage* const one = &msg;
+    if (frame_size <= fastpath_cap_ &&
+        send_frame(dst, &one, 1, kFastpathAllocRounds)) {
+      ctr_fastpath_hits_.add();
+      gauge_send_queue_depth_.sub();
+      done();
+      return;
     }
     // Exactly one fallback count per parcel that leaves the fast path —
     // whether the frame was over the cap or the packet pool stayed
@@ -483,19 +457,8 @@ void LciParcelport::send(amt::Rank dst, amt::OutMessage msg,
                               std::memory_order_relaxed);
 
   // Assemble the header directly in an LCI packet buffer (saves a copy on
-  // the eager path — paper §3.2.1), then inject it, retrying with bounded
-  // backoff on transient resource exhaustion per LCI's explicit-retry
-  // contract.
-  std::optional<minilci::PacketBuffer> packet;
-  unsigned backoff_round = 0;
-  for (;;) {
-    packet = device_.try_alloc_packet();
-    if (packet) break;
-    if (progress_type_ == amt::ParcelportConfig::ProgressType::kWorker) {
-      try_progress();
-    }
-    send_backoff(backoff_round);
-  }
+  // the eager path — paper §3.2.1), then inject it.
+  std::optional<minilci::PacketBuffer> packet = alloc_packet(0);
   const std::uint32_t header_seq =
       header_seq_tx_[dst].value.fetch_add(1, std::memory_order_relaxed);
   const std::size_t header_size =
@@ -504,21 +467,9 @@ void LciParcelport::send(amt::Rank dst, amt::OutMessage msg,
   packet->set_size(header_size);
   connection->msg = std::move(msg);
 
-  const minilci::Comp comp = make_comp();
-  const auto ctx =
-      reinterpret_cast<std::uint64_t>(static_cast<Connection*>(connection));
-  backoff_round = 0;
-  for (;;) {
-    const common::Status status =
-        protocol_ == amt::ParcelportConfig::Protocol::kPutSendRecv
-            ? device_.put_dyn_packet(dst, 0, *packet, comp, ctx)
-            : device_.sendm_packet(dst, kHeaderTag, *packet, comp, ctx);
-    if (status == common::Status::kOk) break;
-    if (progress_type_ == amt::ParcelportConfig::ProgressType::kWorker) {
-      try_progress();
-    }
-    send_backoff(backoff_round);
-  }
+  inject_packet(dst, kHeaderTag, *packet, make_comp(),
+                reinterpret_cast<std::uint64_t>(
+                    static_cast<Connection*>(connection)));
 
   // Seed the pipeline: with depth d, the header plus d-1 pieces may be in
   // flight at once (each completion then posts one replacement, so depth 1
@@ -761,67 +712,34 @@ void LciParcelport::handle_header(amt::Rank src, const std::byte* data,
 
 void LciParcelport::fastpath_handler(minilci::CqEntry&& entry, void* arg) {
   auto* port = static_cast<LciParcelport*>(arg);
-  port->handle_fastpath(entry.rank, std::move(entry.data));
-}
-
-void LciParcelport::handle_fastpath(amt::Rank src,
-                                    std::vector<std::byte>&& frame) {
-  // Both frame kinds share the reserved tag; the leading magic says which
-  // arrived (anything else fail-fasts in the decoder below).
-  if (amt::peek_frame_magic(frame.data(), frame.size()) == amt::kBatchMagic) {
-    handle_batch(src, std::move(frame));
-    return;
-  }
-  // Runs in progress context (the pinned progress thread, or whichever
-  // worker won the progress ticket). decode verifies magic + CRC and
-  // fail-fasts on corruption, exactly like the header path.
-  const amt::WholeParcelView view =
-      amt::decode_whole_parcel(frame.data(), frame.size());
-  {
-    // Fast-path frames share the per-channel sequence space with wire
-    // headers, so the same tracker catches duplicates of either kind — a
-    // duplicated frame would double-dispatch a parcel.
-    HeaderSeqRx& rx = header_seq_rx_[src].value;
-    std::lock_guard<common::SpinMutex> guard(rx.mutex);
-    if (!rx.tracker.accept(view.fields.seq)) {
-      common::integrity_fail("pplci: duplicated whole-parcel frame rank=",
-                             context_.rank, " src=", src,
-                             " seq=", view.fields.seq,
-                             " — a duplicate would double-dispatch a parcel");
-    }
-  }
-  // The arrival buffer is trimmed in place and becomes the main chunk — no
-  // second copy of the payload on the dominant (no-zchunk) case.
-  amt::InMessage in =
-      amt::take_whole_parcel_body(std::move(frame), view, src);
-  ctr_delivered_.add();
-  context_.deliver(std::move(in));
+  port->handle_batch(entry.rank, std::move(entry.data));
 }
 
 void LciParcelport::handle_batch(amt::Rank src,
                                  std::vector<std::byte>&& frame) {
-  // One CRC and ONE per-channel seq check cover the whole frame; each
-  // sub-parcel then dispatches through the normal delivery path, so the
-  // destination handler returns its admission credit exactly as it would
-  // for an unbatched parcel.
-  const amt::BatchView view = amt::decode_batch(frame.data(), frame.size());
+  // Runs in progress context (the pinned progress thread, or whichever
+  // worker won the progress ticket). One CRC and ONE per-channel seq check
+  // cover the whole frame; each parcel then dispatches through the normal
+  // delivery path, so the destination handler returns its admission credit
+  // exactly as it would for an unbatched parcel.
+  const amt::BatchHeader header = amt::decode_batch(frame.data(), frame.size());
   {
+    // Frames share the per-channel sequence space with wire headers, so
+    // the same tracker catches duplicates of either kind — a duplicated
+    // frame would double-dispatch its parcels.
     HeaderSeqRx& rx = header_seq_rx_[src].value;
     std::lock_guard<common::SpinMutex> guard(rx.mutex);
-    if (!rx.tracker.accept(view.fields.seq)) {
+    if (!rx.tracker.accept(header.seq)) {
       common::integrity_fail("pplci: duplicated batch frame rank=",
                              context_.rank, " src=", src,
-                             " seq=", view.fields.seq,
-                             " count=", view.fields.count,
+                             " seq=", header.seq, " count=", header.count,
                              " — a duplicate would double-dispatch parcels");
     }
   }
-  for (std::size_t i = 0; i < view.offsets.size(); ++i) {
-    amt::InMessage in = amt::take_batch_entry(frame.data() + view.offsets[i],
-                                              view.lengths[i], src);
+  amt::take_batch_entries(std::move(frame), src, [this](amt::InMessage&& in) {
     ctr_delivered_.add();
     context_.deliver(std::move(in));
-  }
+  });
 }
 
 void LciParcelport::flush_batch(amt::Rank dst,
@@ -833,38 +751,9 @@ void LciParcelport::flush_batch(amt::Rank dst,
   for (const amt::Aggregator::Entry& entry : batch) {
     msgs.push_back(&entry.msg);
   }
-
-  // Same allocation + injection discipline as the single-parcel fast path
-  // (explicit retry with bounded backoff); the aggregator guarantees the
-  // frame fits agg_cap_ <= one medium message.
-  std::optional<minilci::PacketBuffer> packet;
-  unsigned backoff_round = 0;
-  for (;;) {
-    packet = device_.try_alloc_packet();
-    if (packet) break;
-    if (progress_type_ == amt::ParcelportConfig::ProgressType::kWorker) {
-      try_progress();
-    }
-    send_backoff(backoff_round);
-  }
-  const std::uint32_t seq =
-      header_seq_tx_[dst].value.fetch_add(1, std::memory_order_relaxed);
-  packet->set_size(amt::encode_batch_to(msgs.data(), msgs.size(), seq,
-                                        packet->data(), packet->capacity()));
-  backoff_round = 0;
-  for (;;) {
-    const common::Status status =
-        protocol_ == amt::ParcelportConfig::Protocol::kPutSendRecv
-            ? device_.put_dyn_packet(dst, minilci::kFastpathTag, *packet,
-                                     minilci::Comp::none())
-            : device_.sendm_packet(dst, minilci::kFastpathTag, *packet,
-                                   minilci::Comp::none());
-    if (status == common::Status::kOk) break;
-    if (progress_type_ == amt::ParcelportConfig::ProgressType::kWorker) {
-      try_progress();
-    }
-    send_backoff(backoff_round);
-  }
+  // Unbounded packet wait: a flushed batch has no fallback path. The
+  // aggregator guarantees the frame fits agg_cap_ <= one medium message.
+  send_frame(dst, msgs.data(), msgs.size(), /*alloc_rounds=*/0);
 
   ctr_agg_batched_.add(batch.size());
   switch (reason) {

@@ -41,28 +41,28 @@
 //   * aggregation agg<N>/aggt<U>/aggoff — adaptive per-destination
 //                             coalescing of small parcels (below).
 //
-// Small-parcel fast path (hpx5 `pwc` style, on by default): when the whole
-// message — header, inline data, and every zero-copy chunk payload — fits
-// under the fast-path byte cap (fp<N> token / AMTNET_LCI_FASTPATH, capped at
-// the eager threshold), send() packs it into ONE pool packet on the reserved
-// tag minilci::kFastpathTag and the receive side dispatches it from a
-// handler completion fired straight out of progress context: no
-// ReceiverConnection, no follow-up tag allocation, no completion-queue round
-// trip. Larger messages take the unchanged header + follow-up path
-// (counted under pplci/*/fastpath_fallbacks).
+// One eager frame: every parcel sent without a connection travels as a
+// batch frame (amt/wire_header.hpp) on the reserved tag minilci::kFastpathTag,
+// and the receive side dispatches it from a handler completion fired
+// straight out of progress context: no ReceiverConnection, no follow-up tag
+// allocation, no completion-queue round trip. One CRC + one per-channel seq
+// cover a frame; every parcel in it goes through the normal delivery path,
+// so admission credits still return from the destination handler.
+//
+// Small-parcel fast path (hpx5 `pwc` style; fp/fpoff, on by default): a
+// parcel whose count-1 frame — 24 B, 8 B per zero-copy chunk, and every
+// payload byte — fits one medium message (the eager threshold) goes out
+// immediately as that frame. Larger parcels take the unchanged header +
+// follow-up path (counted under pplci/*/fastpath_fallbacks).
 //
 // Adaptive aggregation (agg<BYTES> token / AMTNET_LCI_AGG, off by default):
-// fast-path-sized parcels bound for a *backpressured* destination (admission
-// credits outstanding — ParcelportContext::queue_depth) are coalesced in a
-// per-destination amt::Aggregator buffer and travel as one multi-parcel
-// batch frame on the same reserved tag, amortizing per-message injection
-// overhead across the batch. Frames flush on a size cap, an age deadline
-// (aggt<USEC> / AMTNET_LCI_AGG_AGE_US), idle background work, or stop();
-// the receive side distinguishes batch from whole-parcel frames by leading
-// magic, verifies one CRC + one per-channel seq per frame, and dispatches
-// every sub-parcel through the normal delivery path so admission credits
-// still return from the destination handler. When the destination is idle,
-// parcels keep taking the single-parcel fast path unbuffered.
+// small parcels bound for a *backpressured* destination (admission credits
+// outstanding — ParcelportContext::queue_depth) are coalesced in a
+// per-destination amt::Aggregator buffer and leave as one multi-parcel
+// frame, amortizing per-message injection overhead across the batch.
+// Frames flush on a size cap, an age deadline (aggt<USEC> /
+// AMTNET_LCI_AGG_AGE_US), idle background work, or stop(). When the
+// destination is idle, parcels keep taking the fast path unbuffered.
 #pragma once
 
 #include <array>
@@ -99,8 +99,6 @@ class LciParcelport final : public amt::Parcelport {
   std::uint64_t messages_delivered() const { return ctr_delivered_.value(); }
   /// Effective follow-up pipeline depth (0 = unbounded).
   std::size_t pipeline_depth() const { return pipeline_depth_; }
-  /// Effective fast-path frame-size cap in bytes (0 = fast path off).
-  std::size_t fastpath_cap() const { return fastpath_cap_; }
   /// Effective batch-frame byte cap (0 = aggregation off).
   std::size_t aggregation_cap() const { return agg_cap_; }
 
@@ -198,15 +196,30 @@ class LciParcelport final : public amt::Parcelport {
 
   std::uint32_t alloc_tags(std::size_t count);
   void handle_header(amt::Rank src, const std::byte* data, std::size_t size);
-  /// Fast-path delivery: fired as a minilci handler completion from progress
-  /// context when a whole-parcel frame arrives on kFastpathTag.
+  /// Fired as a minilci handler completion from progress context when a
+  /// batch frame arrives on kFastpathTag; hands it to handle_batch.
   static void fastpath_handler(minilci::CqEntry&& entry, void* arg);
-  void handle_fastpath(amt::Rank src, std::vector<std::byte>&& frame);
-  /// Batch-frame delivery: one CRC + one seq check, then every sub-parcel
+  /// Batch-frame delivery: one CRC + one seq check, then every parcel
   /// dispatches through the normal delivery path.
   void handle_batch(amt::Rank src, std::vector<std::byte>&& frame);
-  /// Aggregator flush callback: encodes the batch into one pool packet,
-  /// injects it on the reserved tag, then fires every entry's done callback.
+  /// Takes a packet from the eager pool, driving progress (mt) and backing
+  /// off between attempts; gives up after `max_rounds` failed attempts
+  /// (0 = waits until a packet frees up).
+  std::optional<minilci::PacketBuffer> alloc_packet(unsigned max_rounds);
+  /// Injects `packet` — a dynamic put under psr, a medium send under sr —
+  /// retrying kRetry with backoff until it is accepted.
+  void inject_packet(amt::Rank dst, minilci::Tag tag,
+                     minilci::PacketBuffer& packet, const minilci::Comp& comp,
+                     std::uint64_t ctx = 0);
+  /// Encodes `count` parcels as one batch frame in a pool packet and
+  /// injects it on the reserved tag (the fast path sends count 1, the
+  /// aggregator's flush the whole batch). Returns false, sending nothing,
+  /// when alloc_packet(`alloc_rounds`) gives up; true once the frame is
+  /// accepted, after which the parcels' done callbacks may fire.
+  bool send_frame(amt::Rank dst, const amt::OutMessage* const* msgs,
+                  std::size_t count, unsigned alloc_rounds);
+  /// Aggregator flush callback: sends the batch as one frame, then fires
+  /// every entry's done callback.
   void flush_batch(amt::Rank dst,
                    std::vector<amt::Aggregator::Entry>&& batch,
                    amt::Aggregator::FlushReason reason);
@@ -235,7 +248,7 @@ class LciParcelport final : public amt::Parcelport {
   const std::size_t max_header_size_;
   const std::size_t pipeline_depth_;  // 0 = unbounded
   const int progress_threads_;        // ticket bound; 0 = unbounded
-  const std::size_t fastpath_cap_;    // whole-frame byte cap; 0 = off
+  const std::size_t fastpath_cap_;    // eager threshold; 0 = fpoff
   const std::size_t agg_cap_;         // batch-frame byte cap; 0 = agg off
 
   minilci::CompQueue remote_put_cq_;  // pre-configured remote CQ for puts
@@ -315,7 +328,7 @@ class LciParcelport final : public amt::Parcelport {
   telemetry::Counter& ctr_conn_allocs_;   // connections newly heap-allocated
   telemetry::Counter& ctr_sync_reuses_;
   telemetry::Counter& ctr_sync_allocs_;
-  telemetry::Counter& ctr_fastpath_hits_;       // parcels sent as one frame
+  telemetry::Counter& ctr_fastpath_hits_;  // parcels sent as count-1 frames
   telemetry::Counter& ctr_fastpath_fallbacks_;  // fp on, but the parcel left
                                                 // the fast path (over the cap
                                                 // or pool exhausted)

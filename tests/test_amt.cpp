@@ -702,6 +702,9 @@ TEST(ParcelportConfigTest, RejectsUnknownTokens) {
                std::invalid_argument);
   EXPECT_THROW(amt::ParcelportConfig::parse("psr_cq"),
                std::invalid_argument);
+  // The fast path is on or off; its cap is the eager threshold, not a token.
+  EXPECT_THROW(amt::ParcelportConfig::parse("lci_psr_cq_mt_fp512_i"),
+               std::invalid_argument);
 }
 
 TEST(ParcelportConfigTest, AdmissionTokens) {
@@ -768,12 +771,12 @@ TEST(ParcelportConfigTest, AggregationTokens) {
 
   // A cap below the minimum one-parcel frame could never flush anything:
   // reject it at parse rather than wedging the aggregator at runtime.
-  static_assert(amt::kMinAggFrameBytes == 32);
-  EXPECT_THROW(ParcelportConfig::parse("lci_psr_cq_pin_agg31_i"),
+  static_assert(amt::kMinAggFrameBytes == 24);
+  EXPECT_THROW(ParcelportConfig::parse("lci_psr_cq_pin_agg23_i"),
                std::invalid_argument);
   EXPECT_THROW(ParcelportConfig::parse("lci_psr_cq_pin_agg16_i"),
                std::invalid_argument);
-  EXPECT_NO_THROW(ParcelportConfig::parse("lci_psr_cq_pin_agg32_i"));
+  EXPECT_NO_THROW(ParcelportConfig::parse("lci_psr_cq_pin_agg24_i"));
 }
 
 // ---------------- admission control over the loopback parcelport ----------

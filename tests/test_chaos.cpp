@@ -231,7 +231,7 @@ INSTANTIATE_TEST_SUITE_P(
         "lci_psr_sy_mt_i", "lci_sr_cq_pin_i", "lci_sr_cq_mt_i",
         "lci_sr_sy_pin_i", "lci_sr_sy_mt_i",
         // Small-parcel fast path pinned on: drop/dup/corrupt must land on
-        // whole-parcel frames too, and the seq dedup must never let a
+        // count-1 batch frames too, and the seq dedup must never let a
         // duplicated frame dispatch a parcel twice (the exact-sum check
         // above catches any double dispatch).
         "lci_psr_cq_mt_fp_i",

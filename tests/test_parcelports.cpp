@@ -6,13 +6,18 @@
 // while it is built.
 #include <gtest/gtest.h>
 #include <sys/resource.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <array>
 #include <atomic>
+#include <csignal>
 #include <cstddef>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <numeric>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -98,121 +103,23 @@ TEST(WireHeader, OriginalPolicyFixed512NoTchunkPiggyback) {
   EXPECT_FALSE(plan.piggy_main);
 }
 
-// ---------------- whole-parcel fast-path frame ----------------
+// ---------------- batch frame: the one eager frame ----------------
 
 namespace {
 
 // Recomputes and patches the CRC after a deliberate field edit, so the
 // tests below exercise the *structural* validation rather than tripping
-// over the checksum first.
-void repatch_whole_parcel_crc(std::vector<std::byte>& frame) {
+// over the checksum first. Both frame kinds end their fixed header with the
+// u32 CRC of the whole frame (CRC field as zero).
+void repatch_crc(std::vector<std::byte>& frame, std::size_t crc_offset) {
   const std::uint32_t zero = 0;
-  std::memcpy(frame.data() + offsetof(amt::WholeParcelHeader, crc), &zero,
-              sizeof(zero));
+  std::memcpy(frame.data() + crc_offset, &zero, sizeof(zero));
   const std::uint32_t crc = common::crc32(frame.data(), frame.size());
-  std::memcpy(frame.data() + offsetof(amt::WholeParcelHeader, crc), &crc,
-              sizeof(crc));
+  std::memcpy(frame.data() + crc_offset, &crc, sizeof(crc));
 }
 
-}  // namespace
-
-TEST(WholeParcelFrame, RoundTripWithZchunksAndBufferReuse) {
-  const auto msg = make_msg(64, {100, 200});
-  const std::size_t frame_size = amt::whole_parcel_frame_size(msg);
-  EXPECT_EQ(frame_size, 24u + 2 * 8 + 64 + 100 + 200);
-  std::vector<std::byte> frame(frame_size);
-  EXPECT_EQ(amt::encode_whole_parcel_to(msg, /*seq=*/42, frame.data(),
-                                        frame.size()),
-            frame_size);
-
-  const auto view = amt::decode_whole_parcel(frame.data(), frame.size());
-  EXPECT_EQ(view.fields.seq, 42u);
-  EXPECT_EQ(view.fields.num_zchunks, 2u);
-  EXPECT_EQ(view.fields.main_size, 64u);
-  ASSERT_EQ(view.zsizes.size(), 2u);
-  EXPECT_EQ(view.zsizes[0], 100u);
-  EXPECT_EQ(view.zsizes[1], 200u);
-
-  const auto in = amt::take_whole_parcel_body(std::move(frame), view, 7);
-  EXPECT_EQ(in.source, 7);
-  ASSERT_EQ(in.main_chunk.size(), 64u);
-  EXPECT_EQ(in.main_chunk[63], std::byte{0x5a});
-  ASSERT_EQ(in.zchunks.size(), 2u);
-  ASSERT_EQ(in.zchunks[0].size(), 100u);
-  EXPECT_EQ(in.zchunks[0][99], std::byte{1});
-  ASSERT_EQ(in.zchunks[1].size(), 200u);
-  EXPECT_EQ(in.zchunks[1][0], std::byte{2});
-}
-
-TEST(WholeParcelFrame, MainOnlyFrameIsHeaderPlusPayload) {
-  const auto msg = make_msg(512, {});
-  std::vector<std::byte> frame(amt::whole_parcel_frame_size(msg));
-  EXPECT_EQ(frame.size(), sizeof(amt::WholeParcelHeader) + 512);
-  amt::encode_whole_parcel_to(msg, /*seq=*/0, frame.data(), frame.size());
-  const auto view = amt::decode_whole_parcel(frame.data(), frame.size());
-  EXPECT_EQ(view.fields.num_zchunks, 0u);
-  const auto in = amt::take_whole_parcel_body(std::move(frame), view, 1);
-  EXPECT_EQ(in.main_chunk.size(), 512u);
-  EXPECT_TRUE(in.zchunks.empty());
-}
-
-TEST(WholeParcelFrameDeathTest, CorruptedPayloadFailsFast) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  const auto msg = make_msg(64, {100});
-  std::vector<std::byte> frame(amt::whole_parcel_frame_size(msg));
-  amt::encode_whole_parcel_to(msg, /*seq=*/5, frame.data(), frame.size());
-  frame[frame.size() - 3] ^= std::byte{0x04};
-  EXPECT_DEATH(amt::decode_whole_parcel(frame.data(), frame.size()),
-               "whole-parcel frame CRC mismatch");
-}
-
-TEST(WholeParcelFrameDeathTest, TruncatedFrameFailsFast) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  std::vector<std::byte> frame(8, std::byte{0});
-  EXPECT_DEATH(amt::decode_whole_parcel(frame.data(), frame.size()),
-               "whole-parcel frame truncated");
-}
-
-TEST(WholeParcelFrameDeathTest, ForeignFrameKindFailsFast) {
-  // A regular wire header routed onto the fast-path tag must be rejected
-  // by the magic check, not mis-parsed as a whole parcel.
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  const auto msg = make_msg(64, {});
-  const auto plan = amt::HeaderPlan::decide(msg, 8192);
-  std::vector<std::byte> wire;
-  amt::encode_header(msg, plan, 9, /*seq=*/0, wire);
-  EXPECT_DEATH(amt::decode_whole_parcel(wire.data(), wire.size()),
-               "whole-parcel frame bad magic");
-}
-
-TEST(WholeParcelFrameDeathTest, DeclaredSizesMustMatchFrameExactly) {
-  // A frame whose CRC is valid but whose declared sizes do not add up to
-  // the buffer (e.g. a maliciously re-checksummed truncation) still dies.
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  const auto msg = make_msg(64, {});
-  std::vector<std::byte> frame(amt::whole_parcel_frame_size(msg));
-  amt::encode_whole_parcel_to(msg, /*seq=*/0, frame.data(), frame.size());
-  std::uint64_t bad_main = 63;
-  std::memcpy(frame.data() + offsetof(amt::WholeParcelHeader, main_size),
-              &bad_main, sizeof(bad_main));
-  repatch_whole_parcel_crc(frame);
-  EXPECT_DEATH(amt::decode_whole_parcel(frame.data(), frame.size()),
-               "whole-parcel frame size mismatch");
-}
-
-// ---------------- multi-parcel batch frame (adaptive aggregation) --------
-
-namespace {
-
-// Same trick as repatch_whole_parcel_crc: re-checksum after a deliberate
-// field edit so the structural validation is what trips, not the CRC.
 void repatch_batch_crc(std::vector<std::byte>& frame) {
-  const std::uint32_t zero = 0;
-  std::memcpy(frame.data() + offsetof(amt::BatchHeader, crc), &zero,
-              sizeof(zero));
-  const std::uint32_t crc = common::crc32(frame.data(), frame.size());
-  std::memcpy(frame.data() + offsetof(amt::BatchHeader, crc), &crc,
-              sizeof(crc));
+  repatch_crc(frame, offsetof(amt::BatchHeader, crc));
 }
 
 std::vector<std::byte> encode_batch(
@@ -225,7 +132,55 @@ std::vector<std::byte> encode_batch(
   return frame;
 }
 
+std::vector<amt::InMessage> take_all(std::vector<std::byte>&& frame,
+                                     amt::Rank source) {
+  std::vector<amt::InMessage> out;
+  amt::take_batch_entries(std::move(frame), source,
+                          [&out](amt::InMessage&& in) {
+                            out.push_back(std::move(in));
+                          });
+  return out;
+}
+
 }  // namespace
+
+TEST(BatchFrame, CountOneRoundTripWithZchunksReusesArrivalBuffer) {
+  const auto msg = make_msg(64, {100, 200});
+  const std::size_t frame_size = amt::batch_frame_size(msg);
+  EXPECT_EQ(frame_size, 24u + 2 * 8 + 64 + 100 + 200);
+  auto frame = encode_batch({&msg}, /*seq=*/42);
+  ASSERT_EQ(frame.size(), frame_size);
+
+  const amt::BatchHeader header = amt::decode_batch(frame.data(), frame.size());
+  EXPECT_EQ(header.seq, 42u);
+  EXPECT_EQ(header.count, 1u);
+
+  const std::byte* const arrival = frame.data();
+  const auto in = take_all(std::move(frame), /*source=*/7);
+  ASSERT_EQ(in.size(), 1u);
+  EXPECT_EQ(in[0].source, 7);
+  ASSERT_EQ(in[0].main_chunk.size(), 64u);
+  EXPECT_EQ(in[0].main_chunk[63], std::byte{0x5a});
+  // The last (here: only) entry's main chunk is the arrival buffer, trimmed
+  // in place — no second allocation on the fast path.
+  EXPECT_EQ(in[0].main_chunk.data(), arrival);
+  ASSERT_EQ(in[0].zchunks.size(), 2u);
+  ASSERT_EQ(in[0].zchunks[0].size(), 100u);
+  EXPECT_EQ(in[0].zchunks[0][99], std::byte{1});
+  ASSERT_EQ(in[0].zchunks[1].size(), 200u);
+  EXPECT_EQ(in[0].zchunks[1][0], std::byte{2});
+}
+
+TEST(BatchFrame, CountOneMainOnlyFrameIsHeaderPlusPayload) {
+  const auto msg = make_msg(512, {});
+  auto frame = encode_batch({&msg}, /*seq=*/0);
+  EXPECT_EQ(frame.size(), 24u + 512);
+  EXPECT_EQ(amt::decode_batch(frame.data(), frame.size()).count, 1u);
+  const auto in = take_all(std::move(frame), /*source=*/1);
+  ASSERT_EQ(in.size(), 1u);
+  EXPECT_EQ(in[0].main_chunk.size(), 512u);
+  EXPECT_TRUE(in[0].zchunks.empty());
+}
 
 TEST(BatchFrame, RoundTripThreeParcelsWithZchunks) {
   const auto m0 = make_msg(8, {});
@@ -233,39 +188,29 @@ TEST(BatchFrame, RoundTripThreeParcelsWithZchunks) {
   const auto m2 = make_msg(0, {50});
   auto frame = encode_batch({&m0, &m1, &m2}, /*seq=*/9);
 
-  EXPECT_EQ(amt::peek_frame_magic(frame.data(), frame.size()),
-            amt::kBatchMagic);
-  const auto view = amt::decode_batch(frame.data(), frame.size());
-  EXPECT_EQ(view.fields.count, 3u);
-  EXPECT_EQ(view.fields.seq, 9u);
-  ASSERT_EQ(view.offsets.size(), 3u);
-  ASSERT_EQ(view.lengths.size(), 3u);
+  const amt::BatchHeader header = amt::decode_batch(frame.data(), frame.size());
+  EXPECT_EQ(header.count, 3u);
+  EXPECT_EQ(header.seq, 9u);
 
-  const auto in0 =
-      amt::take_batch_entry(frame.data() + view.offsets[0], view.lengths[0],
-                            /*source=*/5);
-  EXPECT_EQ(in0.source, 5);
-  ASSERT_EQ(in0.main_chunk.size(), 8u);
-  EXPECT_EQ(in0.main_chunk[7], std::byte{0x5a});
-  EXPECT_TRUE(in0.zchunks.empty());
+  const auto in = take_all(std::move(frame), /*source=*/5);
+  ASSERT_EQ(in.size(), 3u);
+  EXPECT_EQ(in[0].source, 5);
+  ASSERT_EQ(in[0].main_chunk.size(), 8u);
+  EXPECT_EQ(in[0].main_chunk[7], std::byte{0x5a});
+  EXPECT_TRUE(in[0].zchunks.empty());
 
-  const auto in1 =
-      amt::take_batch_entry(frame.data() + view.offsets[1], view.lengths[1],
-                            /*source=*/5);
-  ASSERT_EQ(in1.main_chunk.size(), 64u);
-  EXPECT_EQ(in1.main_chunk[0], std::byte{0x5a});
-  ASSERT_EQ(in1.zchunks.size(), 2u);
-  ASSERT_EQ(in1.zchunks[0].size(), 100u);
-  EXPECT_EQ(in1.zchunks[0][99], std::byte{1});
-  ASSERT_EQ(in1.zchunks[1].size(), 200u);
-  EXPECT_EQ(in1.zchunks[1][0], std::byte{2});
+  ASSERT_EQ(in[1].main_chunk.size(), 64u);
+  EXPECT_EQ(in[1].main_chunk[0], std::byte{0x5a});
+  ASSERT_EQ(in[1].zchunks.size(), 2u);
+  ASSERT_EQ(in[1].zchunks[0].size(), 100u);
+  EXPECT_EQ(in[1].zchunks[0][99], std::byte{1});
+  ASSERT_EQ(in[1].zchunks[1].size(), 200u);
+  EXPECT_EQ(in[1].zchunks[1][0], std::byte{2});
 
-  const auto in2 =
-      amt::take_batch_entry(frame.data() + view.offsets[2], view.lengths[2],
-                            /*source=*/5);
-  EXPECT_TRUE(in2.main_chunk.empty());
-  ASSERT_EQ(in2.zchunks.size(), 1u);
-  EXPECT_EQ(in2.zchunks[0].size(), 50u);
+  EXPECT_EQ(in[2].source, 5);
+  EXPECT_TRUE(in[2].main_chunk.empty());
+  ASSERT_EQ(in[2].zchunks.size(), 1u);
+  EXPECT_EQ(in[2].zchunks[0].size(), 50u);
 }
 
 TEST(BatchFrame, MinimalOneParcelFrameMatchesTheParseFloor) {
@@ -273,8 +218,8 @@ TEST(BatchFrame, MinimalOneParcelFrameMatchesTheParseFloor) {
   // zero-payload single parcel. If the layout grows, the constant (and the
   // config error message) must follow.
   const auto msg = make_msg(0, {});
-  const amt::OutMessage* msgs[] = {&msg};
-  EXPECT_EQ(amt::batch_frame_size(msgs, 1), amt::kMinAggFrameBytes);
+  EXPECT_EQ(amt::batch_frame_size(msg), amt::kMinAggFrameBytes);
+  EXPECT_EQ(amt::kMinAggFrameBytes, 24u);
 }
 
 TEST(BatchFrameDeathTest, CorruptedPayloadFailsFast) {
@@ -295,13 +240,14 @@ TEST(BatchFrameDeathTest, TruncatedFrameFailsFast) {
 }
 
 TEST(BatchFrameDeathTest, ForeignFrameKindFailsFast) {
-  // A whole-parcel frame routed into the batch decoder (both frame kinds
-  // share the fast-path tag) must be rejected by the magic check.
+  // A regular wire header routed onto the fast-path tag must be rejected
+  // by the magic check, not mis-parsed as a batch.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const auto msg = make_msg(64, {});
-  std::vector<std::byte> frame(amt::whole_parcel_frame_size(msg));
-  amt::encode_whole_parcel_to(msg, /*seq=*/0, frame.data(), frame.size());
-  EXPECT_DEATH(amt::decode_batch(frame.data(), frame.size()),
+  const auto plan = amt::HeaderPlan::decide(msg, 8192);
+  std::vector<std::byte> wire;
+  amt::encode_header(msg, plan, 9, /*seq=*/0, wire);
+  EXPECT_DEATH(amt::decode_batch(wire.data(), wire.size()),
                "batch frame bad magic");
 }
 
@@ -321,33 +267,227 @@ TEST(BatchFrameDeathTest, OverdeclaredEntryLengthFailsFast) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const auto msg = make_msg(16, {});
   auto frame = encode_batch({&msg}, /*seq=*/0);
-  std::uint32_t length = 0;
-  std::memcpy(&length, frame.data() + sizeof(amt::BatchHeader),
-              sizeof(length));
-  length += 8;
-  std::memcpy(frame.data() + sizeof(amt::BatchHeader), &length,
-              sizeof(length));
+  const std::size_t main_size_at =
+      sizeof(amt::BatchHeader) + offsetof(amt::BatchEntryHeader, main_size);
+  std::uint32_t main_size = 0;
+  std::memcpy(&main_size, frame.data() + main_size_at, sizeof(main_size));
+  main_size += 8;
+  std::memcpy(frame.data() + main_size_at, &main_size, sizeof(main_size));
   repatch_batch_crc(frame);
   EXPECT_DEATH(amt::decode_batch(frame.data(), frame.size()),
                "batch entry 0 overruns frame");
 }
 
 TEST(BatchFrameDeathTest, DeclaredLengthsMustCoverFrameExactly) {
-  // A re-checksummed frame whose length table leaves trailing bytes
-  // unaccounted for still dies (e.g. a maliciously shortened entry).
+  // A re-checksummed frame whose entries leave trailing bytes unaccounted
+  // for still dies (e.g. a maliciously shortened entry).
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  const auto m0 = make_msg(32, {});
-  const auto m1 = make_msg(16, {});
-  auto frame = encode_batch({&m0, &m1}, /*seq=*/0);
-  std::uint32_t length = 0;
-  std::memcpy(&length, frame.data() + sizeof(amt::BatchHeader),
-              sizeof(length));
-  length -= 1;
-  std::memcpy(frame.data() + sizeof(amt::BatchHeader), &length,
-              sizeof(length));
+  const auto msg = make_msg(64, {});
+  auto frame = encode_batch({&msg}, /*seq=*/0);
+  const std::size_t main_size_at =
+      sizeof(amt::BatchHeader) + offsetof(amt::BatchEntryHeader, main_size);
+  const std::uint32_t bad_main = 63;
+  std::memcpy(frame.data() + main_size_at, &bad_main, sizeof(bad_main));
   repatch_batch_crc(frame);
   EXPECT_DEATH(amt::decode_batch(frame.data(), frame.size()),
                "batch frame size mismatch");
+}
+
+// ---------------- seeded mutations of the frame decoders ----------------
+
+namespace mutation {
+
+enum class Decoder { kBatch, kHeader };
+
+struct Base {
+  Decoder decoder;
+  std::vector<std::byte> frame;
+  // Integer fields a mutation may rewrite: {offset, width in bytes}.
+  std::vector<std::pair<std::size_t, std::size_t>> fields;
+};
+
+std::size_t crc_offset(Decoder decoder) {
+  return decoder == Decoder::kBatch ? offsetof(amt::BatchHeader, crc)
+                                    : offsetof(amt::WireHeader, crc);
+}
+
+std::size_t fixed_header_size(Decoder decoder) {
+  return decoder == Decoder::kBatch ? sizeof(amt::BatchHeader)
+                                    : sizeof(amt::WireHeader);
+}
+
+Base batch_base(const std::vector<const amt::OutMessage*>& msgs) {
+  Base base{Decoder::kBatch, encode_batch(msgs, /*seq=*/3), {}};
+  base.fields.push_back({offsetof(amt::BatchHeader, count), 4});
+  std::size_t offset = sizeof(amt::BatchHeader);
+  for (const amt::OutMessage* msg : msgs) {
+    base.fields.push_back(
+        {offset + offsetof(amt::BatchEntryHeader, num_zchunks), 4});
+    base.fields.push_back(
+        {offset + offsetof(amt::BatchEntryHeader, main_size), 4});
+    for (std::size_t z = 0; z < msg->zchunks.size(); ++z) {
+      base.fields.push_back(
+          {offset + sizeof(amt::BatchEntryHeader) + z * 8, 8});
+    }
+    offset += amt::batch_entry_size(*msg);
+  }
+  return base;
+}
+
+Base header_base(const amt::OutMessage& msg) {
+  Base base{Decoder::kHeader, {}, {}};
+  const auto plan = amt::HeaderPlan::decide(msg, 8192);
+  amt::encode_header(msg, plan, /*tag=*/11, /*seq=*/3, base.frame);
+  base.fields = {{offsetof(amt::WireHeader, num_zchunks), 2},
+                 {offsetof(amt::WireHeader, piggy_main), 1},
+                 {offsetof(amt::WireHeader, piggy_tchunk), 1},
+                 {offsetof(amt::WireHeader, main_size), 8}};
+  if (plan.piggy_tchunk) {
+    for (std::size_t z = 0; z < msg.zchunks.size(); ++z) {
+      base.fields.push_back({sizeof(amt::WireHeader) + z * 8, 8});
+    }
+  }
+  return base;
+}
+
+// Runs in the death-test child: decodes `frame` and, when the decoder
+// accepts it, checks that everything it hands out lies inside the frame.
+// Exits 0 with a marker on success; a rejected frame dies in the decoder
+// with INTEGRITY FAILURE.
+[[noreturn]] void decode_or_die(Decoder decoder, std::vector<std::byte> frame) {
+  const std::size_t size = frame.size();
+  bool in_bounds = false;
+  if (decoder == Decoder::kBatch) {
+    const amt::BatchHeader header = amt::decode_batch(frame.data(), size);
+    std::size_t accounted = sizeof(amt::BatchHeader);
+    std::uint32_t entries = 0;
+    amt::take_batch_entries(std::move(frame), 0, [&](amt::InMessage&& in) {
+      ++entries;
+      accounted += sizeof(amt::BatchEntryHeader) + in.main_chunk.size();
+      for (const auto& z : in.zchunks) accounted += 8 + z.size();
+    });
+    in_bounds = entries == header.count && accounted == size;
+  } else {
+    const auto decoded = amt::decode_header(frame.data(), size);
+    const amt::WireHeader& fields = decoded.fields;
+    const std::size_t tchunk =
+        fields.piggy_tchunk ? std::size_t{fields.num_zchunks} * 8 : 0;
+    const std::size_t main = fields.piggy_main ? decoded.piggy_main.size() : 0;
+    in_bounds = decoded.piggy_tchunk.size() == tchunk &&
+                (!fields.piggy_main || main == fields.main_size) &&
+                sizeof(amt::WireHeader) + tchunk + main <= size;
+  }
+  std::fprintf(stderr, in_bounds ? "DECODED IN BOUNDS\n" : "DECODED OUT OF "
+                                                           "BOUNDS\n");
+  std::fflush(stderr);
+  std::_Exit(in_bounds ? 0 : 1);
+}
+
+bool decoded_or_integrity_abort(int status) {
+  return (WIFEXITED(status) && WEXITSTATUS(status) == 0) ||
+         (WIFSIGNALED(status) && WTERMSIG(status) == SIGABRT);
+}
+
+}  // namespace mutation
+
+TEST(FrameDecoderMutationDeathTest, SeededCasesDecodeInBoundsOrFailFast) {
+  // A deterministic mutation sweep over decode_batch and decode_header:
+  // every count/size field set to its maximum and to one past its value,
+  // then seeded bit flips, truncations, appended bytes and random field
+  // values. All but the plain bit flips re-patch the CRC, so the structural
+  // checks are what must trip. Every case either decodes with every entry
+  // inside the frame or dies with INTEGRITY FAILURE; any other death (a
+  // segfault, an assert, a sanitizer report) fails the test. The cases run
+  // one after another, each in its own forked child.
+  const std::string saved_style = ::testing::FLAGS_gtest_death_test_style;
+  ::testing::FLAGS_gtest_death_test_style = "fast";
+  const auto m0 = make_msg(8, {});
+  const auto m1 = make_msg(64, {100, 200});
+  const auto m2 = make_msg(0, {50});
+  const auto m3 = make_msg(40, {9000, 20000});
+  const std::vector<mutation::Base> bases = {
+      mutation::batch_base({&m0}),
+      mutation::batch_base({&m1}),
+      mutation::batch_base({&m0, &m1, &m2}),
+      mutation::header_base(make_msg(100, {})),
+      mutation::header_base(m3),
+  };
+  int cases = 0;
+  const auto check = [&](const mutation::Base& base,
+                         std::vector<std::byte> frame, bool repatch,
+                         const std::string& what) {
+    if (repatch) repatch_crc(frame, mutation::crc_offset(base.decoder));
+    ++cases;
+    EXPECT_EXIT(mutation::decode_or_die(base.decoder, std::move(frame)),
+                mutation::decoded_or_integrity_abort,
+                "DECODED IN BOUNDS|INTEGRITY FAILURE")
+        << what;
+  };
+  const auto set_field = [](std::vector<std::byte>& frame,
+                            std::pair<std::size_t, std::size_t> field,
+                            std::uint64_t value) {
+    std::memcpy(frame.data() + field.first, &value, field.second);
+  };
+  const auto field_value = [](const std::vector<std::byte>& frame,
+                              std::pair<std::size_t, std::size_t> field) {
+    std::uint64_t value = 0;
+    std::memcpy(&value, frame.data() + field.first, field.second);
+    return value;
+  };
+
+  // Systematic: each field at its maximum (sums that wrap) and one past its
+  // encoded value (off-by-one overruns).
+  for (std::size_t b = 0; b < bases.size(); ++b) {
+    const mutation::Base& base = bases[b];
+    for (const auto& field : base.fields) {
+      const std::uint64_t value = field_value(base.frame, field);
+      for (const std::uint64_t edit : {~std::uint64_t{0}, value + 1}) {
+        std::vector<std::byte> frame = base.frame;
+        set_field(frame, field, edit);
+        check(base, std::move(frame), true,
+              "base " + std::to_string(b) + " field at " +
+                  std::to_string(field.first) + " = " + std::to_string(edit));
+      }
+    }
+  }
+
+  // Seeded random mutations.
+  std::mt19937_64 rng(0x5eedf00du);
+  for (int i = 0; i < 64; ++i) {
+    const std::size_t b = rng() % bases.size();
+    const mutation::Base& base = bases[b];
+    std::vector<std::byte> frame = base.frame;
+    bool repatch = true;
+    const int kind = static_cast<int>(rng() % 5);
+    switch (kind) {
+      case 0:  // one bit flip, CRC left stale
+        frame[rng() % frame.size()] ^= std::byte{1} << (rng() % 8);
+        repatch = false;
+        break;
+      case 1:  // up to three bit flips
+        for (std::uint64_t n = 1 + rng() % 3; n > 0; --n) {
+          frame[rng() % frame.size()] ^= std::byte{1} << (rng() % 8);
+        }
+        break;
+      case 2:  // truncation, CRC re-patched when the header survives
+        frame.resize(rng() % frame.size());
+        repatch = frame.size() >= mutation::fixed_header_size(base.decoder);
+        break;
+      case 3:  // a random value in a random field
+        set_field(frame, base.fields[rng() % base.fields.size()], rng());
+        break;
+      default:  // trailing garbage
+        for (std::uint64_t n = 1 + rng() % 16; n > 0; --n) {
+          frame.push_back(static_cast<std::byte>(rng()));
+        }
+        break;
+    }
+    check(base, std::move(frame), repatch,
+          "random case " + std::to_string(i) + " kind " +
+              std::to_string(kind) + " base " + std::to_string(b));
+  }
+  EXPECT_LE(cases, 128);
+  ::testing::FLAGS_gtest_death_test_style = saved_style;
 }
 
 // ---------------- end-to-end over every configuration ----------------
@@ -575,11 +715,10 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------- small-parcel fast path, end to end ----------------
 
 // Every LCI variant combination with the fast path pinned on, over a 4-rail
-// reordering fabric: small parcels ride single whole-parcel frames (medium
-// sends under sr, dynamic puts under psr) while oversized ones must fall
-// back to the header + follow-up path mid-stream with no cross-talk. The
-// fp512 and fpoff rows are regression configs for the cap-tuning and
-// kill-switch tokens.
+// reordering fabric: small parcels ride count-1 batch frames (medium sends
+// under sr, dynamic puts under psr) while oversized ones must fall back to
+// the header + follow-up path mid-stream with no cross-talk. The fpoff row
+// is a regression config for the kill-switch token.
 class LciFastpathE2E : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(LciFastpathE2E, MixedSizeTrafficAcrossReorderingFabric) {
@@ -633,8 +772,8 @@ INSTANTIATE_TEST_SUITE_P(
                       "lci_psr_sy_pin_fp_i", "lci_psr_sy_mt_fp_i",
                       "lci_sr_cq_pin_fp_i", "lci_sr_cq_mt_fp_i",
                       "lci_sr_sy_pin_fp_i", "lci_sr_sy_mt_fp_i",
-                      // regression rows: a tuned byte cap and the kill switch
-                      "lci_psr_cq_mt_fp512_i", "lci_sr_sy_mt_fpoff_i"),
+                      // regression row: the kill switch
+                      "lci_sr_sy_mt_fpoff_i"),
     [](const ::testing::TestParamInfo<const char*>& info) {
       return std::string(info.param);
     });
