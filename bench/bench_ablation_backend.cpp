@@ -1,9 +1,10 @@
-// Transport-backend ablation ("ablation_backend" suite) plus the
-// multi-process scaling probe the simulator cannot express.
+// The multi-process half of the transport-backend ablation: the scaling
+// probe the simulator cannot express. The single-process half (sim vs shm
+// points, same parcelport and traffic) is the registered suite, run with
+// `bench_suite --run ablation_backend`.
 //
-// Default mode runs the registered suite (sim vs shm single-process points,
-// same parcelport and traffic) and then — when POSIX shm and fork() are
-// available — a 4-rank scaling probe: the same 8 B pair flood once inside
+// Default mode runs — when POSIX shm and fork() are available — a 4-rank
+// scaling probe: the same 8 B pair flood once inside
 // ONE process (4 simulator localities sharing one scheduler pool) and once
 // across FOUR processes over shm rings, equal total worker count. On a
 // multi-core machine the 4-process arm is expected to scale past the
@@ -33,7 +34,6 @@
 #include "expdriver/driver.hpp"
 #include "fabric/backend_shm.hpp"
 #include "stack/stack.hpp"
-#include "suites.hpp"
 
 namespace {
 
@@ -270,19 +270,19 @@ void run_scaling_probe() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--spmd-rate") == 0) {
-      const std::size_t msgs = i + 1 < argc
-                                   ? static_cast<std::size_t>(
-                                         std::strtoull(argv[i + 1], nullptr,
-                                                       10))
-                                   : 20000;
-      return run_spmd_rate(msgs == 0 ? 20000 : msgs);
-    }
+  if (argc == 1) {
+    run_scaling_probe();
+    return 0;
   }
-  const int code = bench::suites::run_suite_main("ablation_backend", argc,
-                                                 argv);
-  if (code != 0) return code;
-  run_scaling_probe();
-  return 0;
+  if (std::strcmp(argv[1], "--spmd-rate") == 0 && argc <= 3) {
+    const std::size_t msgs =
+        argc == 3 ? std::strtoull(argv[2], nullptr, 10) : 20000;
+    return run_spmd_rate(msgs == 0 ? 20000 : msgs);
+  }
+  std::fprintf(stderr,
+               "usage: %s                  4-rank scaling probe\n"
+               "       %s --spmd-rate [N]  one rank of the flood, under "
+               "amtnet_launch\n",
+               argv[0], argv[0]);
+  return 2;
 }

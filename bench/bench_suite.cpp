@@ -1,5 +1,5 @@
-// Experiment driver CLI: the one entry point to the declarative suite
-// registry.
+// Experiment driver CLI: the one way to run a registered suite (every paper
+// figure and ablation).
 //
 //   bench_suite --list
 //       Enumerate every registered suite (one line per suite).
@@ -33,6 +33,7 @@
 #include "expdriver/registry.hpp"
 #include "expdriver/render.hpp"
 #include "expdriver/results.hpp"
+#include "harness.hpp"
 #include "suites.hpp"
 
 namespace {
@@ -80,18 +81,18 @@ std::string join_path(const std::string& dir, const std::string& name) {
 }
 
 int do_list() {
-  std::printf("%-28s %-34s %-20s %6s %s\n", "suite", "binary", "figure",
-              "points", "smoke");
+  std::printf("%-28s %-34s %6s %s\n", "suite", "figure", "points", "smoke");
   for (const SuiteSpec* spec : SuiteRegistry::instance().all()) {
-    std::printf("%-28s %-34s %-20s %6zu %s\n", spec->name.c_str(),
-                spec->binary.c_str(), spec->figure.c_str(),
-                spec->points.size(), spec->smoke ? "yes" : "-");
+    std::printf("%-28s %-34s %6zu %s\n", spec->name.c_str(),
+                spec->figure.c_str(), spec->points.size(),
+                spec->smoke ? "yes" : "-");
   }
   return 0;
 }
 
 SuiteResult run_one(const SuiteSpec& spec, const expdriver::RunEnv& env) {
   std::printf("== %s (%s) ==\n", spec.name.c_str(), spec.figure.c_str());
+  bench::print_header(spec.title.c_str(), spec.expectation.c_str(), env);
   return expdriver::run_suite(spec, env,
                               bench::suites::make_harness_runner(spec));
 }

@@ -1,13 +1,16 @@
 #include "common/config.hpp"
 
 #include <cstdlib>
+#include <string_view>
 
 namespace common {
 
 namespace {
-std::string trim(const std::string& text) {
+// Trims on a view so the key and value strings are built once, already
+// trimmed (no temporary substr copies).
+std::string_view trim(std::string_view text) {
   const auto begin = text.find_first_not_of(" \t\r\n");
-  if (begin == std::string::npos) return {};
+  if (begin == std::string_view::npos) return {};
   const auto end = text.find_last_not_of(" \t\r\n");
   return text.substr(begin, end - begin + 1);
 }
@@ -15,14 +18,15 @@ std::string trim(const std::string& text) {
 
 std::vector<std::string> split_trim(const std::string& text, char delim) {
   std::vector<std::string> out;
+  const std::string_view view(text);
   std::size_t start = 0;
-  while (start <= text.size()) {
-    const auto pos = text.find(delim, start);
-    if (pos == std::string::npos) {
-      out.push_back(trim(text.substr(start)));
+  while (start <= view.size()) {
+    const auto pos = view.find(delim, start);
+    if (pos == std::string_view::npos) {
+      out.emplace_back(trim(view.substr(start)));
       break;
     }
-    out.push_back(trim(text.substr(start, pos - start)));
+    out.emplace_back(trim(view.substr(start, pos - start)));
     start = pos + 1;
   }
   while (!out.empty() && out.back().empty()) out.pop_back();
@@ -33,11 +37,14 @@ KvConfig KvConfig::parse(const std::string& text) {
   KvConfig config;
   for (const auto& piece : split_trim(text, ',')) {
     if (piece.empty()) continue;
-    const auto eq = piece.find('=');
-    if (eq == std::string::npos) {
-      config.kv_[trim(piece)] = "1";  // bare key acts as a boolean flag
+    const std::string_view view(piece);
+    const auto eq = view.find('=');
+    if (eq == std::string_view::npos) {
+      // A bare key acts as a boolean flag.
+      config.kv_.insert_or_assign(piece, std::string("1"));
     } else {
-      config.kv_[trim(piece.substr(0, eq))] = trim(piece.substr(eq + 1));
+      config.kv_.insert_or_assign(std::string(trim(view.substr(0, eq))),
+                                  std::string(trim(view.substr(eq + 1))));
     }
   }
   return config;
@@ -116,10 +123,6 @@ const std::vector<Knob>& knob_registry() {
        "max in-flight follow-up pieces per connection when the config name "
        "carries no pd<N> token",
        "ablation_pipeline"},
-      {Kind::kEnv, "AMTNET_LCI_PACKET_CACHE", "32",
-       "per-thread packet-pool magazine capacity in minilci (0: every "
-       "allocation hits the shared free list)",
-       "bench_micro_ops"},
       {Kind::kEnv, "AMTNET_LCI_PROGRESS_THREADS", "0 (unbounded)",
        "max worker threads polling the NIC concurrently in mt mode (the "
        "progress-ticket bound) when the config name carries no pt<K> token",
@@ -252,7 +255,7 @@ const std::vector<Knob>& knob_registry() {
        "bit-for-bit reproducible per seed)",
        "openloop"},
       // -- parcelport config-name tokens (Table 1 + ablations) --
-      {Kind::kConfigToken, "mpi | lci | tcp", "lci",
+      {Kind::kConfigToken, "mpi | lci", "lci",
        "backend selection prefix of the configuration name",
        "fig1_msgrate_8b"},
       {Kind::kConfigToken, "psr | sr", "psr",

@@ -80,11 +80,15 @@ common::Status ReliableEndpoint::send(Rank dst, const void* data,
 
   const std::uint32_t seq =
       tx_seq_[dst].value.fetch_add(1, std::memory_order_relaxed);
-  std::vector<std::byte> wire(len + kTrailerSize);
-  if (len > 0) std::memcpy(wire.data(), data, len);
-  const std::uint32_t crc = trailer_crc(data, len, seq, imm);
-  std::memcpy(wire.data() + len, &seq, sizeof(seq));
-  std::memcpy(wire.data() + len + sizeof(seq), &crc, sizeof(crc));
+  // Built by range inserts, not resize + memcpy: gcc 12 cannot bound `len`
+  // through the size arithmetic and warns (-Wstringop-overflow).
+  const std::uint32_t trailer[2] = {seq, trailer_crc(data, len, seq, imm)};
+  const auto* payload = static_cast<const std::byte*>(data);
+  const auto* trailer_bytes = reinterpret_cast<const std::byte*>(trailer);
+  std::vector<std::byte> wire;
+  wire.reserve(len + kTrailerSize);
+  wire.insert(wire.end(), payload, payload + len);
+  wire.insert(wire.end(), trailer_bytes, trailer_bytes + kTrailerSize);
 
   const common::Status status =
       nic_.post_send(dst, wire.data(), wire.size(), imm);

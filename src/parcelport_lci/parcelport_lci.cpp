@@ -19,10 +19,6 @@ minilci::Config make_device_config(const amt::ParcelportContext& context) {
   // The LCI eager threshold stays at its default; the header message must
   // fit in one medium message, so the header cap below accounts for both.
   (void)context;
-  if (const char* s = std::getenv("AMTNET_LCI_PACKET_CACHE")) {
-    config.packet_cache_size =
-        static_cast<std::size_t>(std::strtoul(s, nullptr, 10));
-  }
   // Send-side packet pool size (primarily a test knob: a pool of 1 forces
   // fast-path pool exhaustion to pin the fallback/credit-conservation
   // behaviour).

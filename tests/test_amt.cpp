@@ -705,6 +705,9 @@ TEST(ParcelportConfigTest, RejectsUnknownTokens) {
   // The fast path is on or off; its cap is the eager threshold, not a token.
   EXPECT_THROW(amt::ParcelportConfig::parse("lci_psr_cq_mt_fp512_i"),
                std::invalid_argument);
+  // Only the paper's two parcelports exist; "tcp" is an unknown token.
+  EXPECT_THROW(amt::ParcelportConfig::parse("tcp"), std::invalid_argument);
+  EXPECT_THROW(amt::ParcelportConfig::parse("tcp_i"), std::invalid_argument);
 }
 
 TEST(ParcelportConfigTest, AdmissionTokens) {

@@ -1,7 +1,7 @@
 // Tests for the experiment driver (src/expdriver/) and its binding to the
 // bench suite registry (bench/suites.cpp):
-//   * the declarative registry matches the benchmark binaries that actually
-//     exist on disk (no phantom suites, no unregistered benchmarks),
+//   * every registered suite has a unique name that `bench_suite --run`
+//     can select and that makes a valid results file name,
 //   * the schema-versioned results JSON round-trips byte-for-byte,
 //   * the baseline comparator flags real regressions and tolerates noise,
 //     in the right direction per metric,
@@ -51,51 +51,26 @@ std::string read_all(const std::string& path) {
   return out.str();
 }
 
-// ---- suite registry vs on-disk benchmarks ---------------------------------
+// ---- suite registry --------------------------------------------------------
 
-/// Binary names declared via amtnet_add_bench(...) in bench/CMakeLists.txt
-/// that belong to the registry (figure/ablation/extra benches; standalone
-/// tools like bench_profile are exempt).
-std::set<std::string> registry_binaries_from_cmake() {
-  const std::string cmake =
-      read_all(std::string(AMTNET_REPO_ROOT) + "/bench/CMakeLists.txt");
-  std::set<std::string> names;
-  const std::string needle = "amtnet_add_bench(";
-  for (std::size_t pos = cmake.find(needle); pos != std::string::npos;
-       pos = cmake.find(needle, pos + 1)) {
-    const std::size_t begin = pos + needle.size();
-    const std::size_t end = cmake.find(')', begin);
-    if (end == std::string::npos) break;
-    const std::string name = cmake.substr(begin, end - begin);
-    if (name.rfind("bench_fig", 0) == 0 ||
-        name.rfind("bench_ablation_", 0) == 0 ||
-        name.rfind("bench_extra_", 0) == 0 ||
-        name.rfind("bench_openloop", 0) == 0 ||
-        name.rfind("bench_fft", 0) == 0) {
-      names.insert(name);
-    }
-  }
-  return names;
-}
-
-TEST(SuiteRegistry, MatchesOnDiskBenchmarks) {
+// `bench_suite --run <name>` is the only way to run a suite, and each suite
+// writes BENCH_<name>.json: every name must be unique, usable as a file-name
+// stem, and distinct from the CLI's "all" / "smoke" selectors.
+TEST(SuiteRegistry, NamesAreUnique) {
   bench::suites::register_all();
-  const std::set<std::string> on_disk = registry_binaries_from_cmake();
-  ASSERT_FALSE(on_disk.empty()) << "failed to parse bench/CMakeLists.txt";
-
-  std::set<std::string> registered;
+  std::set<std::string> names;
   for (const SuiteSpec* spec : SuiteRegistry::instance().all()) {
-    EXPECT_TRUE(registered.insert(spec->binary).second)
-        << "duplicate binary " << spec->binary;
-    // The wrapper source must exist and actually reference the suite.
-    const std::string source = read_all(std::string(AMTNET_REPO_ROOT) +
-                                        "/bench/" + spec->binary + ".cpp");
-    ASSERT_FALSE(source.empty()) << "missing source for " << spec->binary;
-    EXPECT_NE(source.find("\"" + spec->name + "\""), std::string::npos)
-        << spec->binary << ".cpp does not run suite " << spec->name;
+    EXPECT_TRUE(names.insert(spec->name).second)
+        << "duplicate suite " << spec->name;
+    EXPECT_EQ(SuiteRegistry::instance().find(spec->name), spec);
+    ASSERT_FALSE(spec->name.empty());
+    EXPECT_TRUE(std::all_of(spec->name.begin(), spec->name.end(), [](char c) {
+      return std::islower(static_cast<unsigned char>(c)) ||
+             std::isdigit(static_cast<unsigned char>(c)) || c == '_';
+    })) << "suite name '" << spec->name << "' is not a file-name stem";
+    EXPECT_NE(spec->name, "all");
+    EXPECT_NE(spec->name, "smoke");
   }
-  EXPECT_EQ(registered, on_disk)
-      << "suite registry and bench/CMakeLists.txt disagree";
 }
 
 TEST(SuiteRegistry, PointLabelsAreUniqueWithinEachSuite) {
@@ -130,7 +105,6 @@ TEST(SuiteRegistry, FindUnknownReturnsNull) {
 SuiteSpec stub_suite() {
   SuiteSpec spec;
   spec.name = "stub";
-  spec.binary = "bench_stub";
   spec.figure = "Figure 0";
   spec.title = "stub";
   PointSpec a;
