@@ -2,8 +2,8 @@
 // of the integrity machinery itself.
 //
 // Three regimes per configuration:
-//   * clean        — faults off, integrity off: the PR-2 baseline numbers.
-//   * integrity    — zero fault probabilities but AMTNET_FAULT_INTEGRITY=1:
+//   * clean        — faults off, integrity off: the fault-free baseline.
+//   * integrity    — zero fault probabilities but FaultConfig::integrity:
 //                    CRC trailers, acks, and retransmit tracking run on a
 //                    polite network. The clean-vs-integrity gap is the pure
 //                    protocol overhead (acceptance: within noise for the
@@ -13,12 +13,10 @@
 //                    degrade with retransmits but every run still delivers
 //                    everything (the harness validates counts internally).
 //
-// Faults are passed through the AMTNET_FAULT_* environment knobs, exactly
-// as a user would inject them, so this bench also exercises that plumbing.
+// Each regime is a fabric::FaultConfig handed to the harness through
+// RateParams::faults, the same StackOptions::faults path programs use.
 // Seeds are fixed per point; rerunning reproduces the same fault pattern.
 #include <cstdio>
-#include <cstdlib>
-#include <string>
 
 #include "harness.hpp"
 
@@ -26,26 +24,18 @@ namespace {
 
 struct Regime {
   const char* label;
-  const char* drop;
-  const char* dup;
-  const char* corrupt;
-  const char* integrity;
+  double rate;  // P(drop) = P(duplicate) = P(corrupt)
+  bool integrity;
 };
 
-void apply_regime(const Regime& regime) {
-  setenv("AMTNET_FAULT_DROP", regime.drop, 1);
-  setenv("AMTNET_FAULT_DUP", regime.dup, 1);
-  setenv("AMTNET_FAULT_CORRUPT", regime.corrupt, 1);
-  setenv("AMTNET_FAULT_INTEGRITY", regime.integrity, 1);
-  setenv("AMTNET_FAULT_SEED", "12345", 1);
-}
-
-void clear_regime() {
-  unsetenv("AMTNET_FAULT_DROP");
-  unsetenv("AMTNET_FAULT_DUP");
-  unsetenv("AMTNET_FAULT_CORRUPT");
-  unsetenv("AMTNET_FAULT_INTEGRITY");
-  unsetenv("AMTNET_FAULT_SEED");
+fabric::FaultConfig faults_of(const Regime& regime) {
+  fabric::FaultConfig faults;
+  faults.drop = regime.rate;
+  faults.duplicate = regime.rate;
+  faults.corrupt = regime.rate;
+  faults.integrity = regime.integrity;
+  faults.seed = 12345;
+  return faults;
 }
 
 }  // namespace
@@ -60,11 +50,11 @@ int main(int argc, char** argv) {
       env);
 
   const Regime regimes[] = {
-      {"clean", "0", "0", "0", "0"},
-      {"integrity", "0", "0", "0", "1"},
-      {"faults_1pct", "0.01", "0.01", "0.01", "0"},
-      {"faults_3pct", "0.03", "0.03", "0.03", "0"},
-      {"faults_5pct", "0.05", "0.05", "0.05", "0"},
+      {"clean", 0.0, false},
+      {"integrity", 0.0, true},
+      {"faults_1pct", 0.01, false},
+      {"faults_3pct", 0.03, false},
+      {"faults_5pct", 0.05, false},
   };
   const char* configs[] = {"lci_psr_cq_pin_i", "mpi_i"};
 
@@ -73,16 +63,15 @@ int main(int argc, char** argv) {
       "message_rate_K/s,stddev_K/s\n");
   for (const char* config : configs) {
     for (const Regime& regime : regimes) {
-      apply_regime(regime);
       bench::RateParams params;
       params.parcelport = config;
       params.msg_size = 8;
       params.total_msgs = static_cast<std::size_t>(20000 * env.scale);
       params.workers = env.workers;
+      params.faults = faults_of(regime);
       std::printf("%s,", regime.label);
       bench::report_rate_point(params, env.repetitions);
     }
   }
-  clear_regime();
   return 0;
 }

@@ -108,6 +108,7 @@ RateResult run_message_rate(const RateParams& params) {
   options.zero_copy_threshold = params.zero_copy_threshold;
   options.max_connections = params.max_connections;
   options.fabric_rails = params.fabric_rails;
+  options.faults = params.faults;
   amt::RuntimeConfig config = amtnet::make_runtime_config(options);
   if (params.bandwidth_gbps > 0.0 || params.latency_us > 0.0 ||
       params.pkt_rate_mpps > 0.0) {

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "expdriver/experiment.hpp"
+#include "fabric/fault.hpp"
 #include "telemetry/registry.hpp"
 
 namespace amt {
@@ -76,6 +77,8 @@ struct RateParams {
   double bandwidth_gbps = 0.0;
   double latency_us = 0.0;
   double pkt_rate_mpps = 0.0;
+  // Fault injection on the wire (default: none); the chaos sweep's regimes.
+  fabric::FaultConfig faults;
 };
 
 struct RateResult {

@@ -829,8 +829,8 @@ SuiteSpec ablation_progress() {
     }
   }
   // The pre-sharding baseline: one global rendezvous table (rs1), every
-  // idle worker polling (ptinf). The scaling gap against the rows above is
-  // the ablation's headline.
+  // idle worker polling (no pt<K> token). The scaling gap against the rows
+  // above is the ablation's headline.
   for (unsigned workers : {1u, 2u, 4u, 8u}) {
     PointSpec p =
         rate_point("lci_psr_cq_mt_rs1_i", 16 * 1024, 10, k16kFloodMsgs, 0.0);
@@ -1119,8 +1119,9 @@ SuiteSpec ablation_collectives() {
   // The wire: generous line rate (bandwidth is near-free for these payload
   // sizes), HDR-class latency, and a per-NIC message-rate cap that makes
   // root fan-out the bottleneck — the regime Yan et al. identify for
-  // small-parcel AMT traffic. Payloads stay under AMTNET_COLL_LARGE_BYTES
-  // so forced-family runs compare un-pipelined algorithms.
+  // small-parcel AMT traffic. Payloads stay under the large-payload
+  // crossover (CollTuning::large_bytes) so forced-family runs compare
+  // un-pipelined algorithms.
   struct Algo {
     const char* label;
     const char* token;
@@ -1391,24 +1392,10 @@ expdriver::PointRunner make_harness_runner(const SuiteSpec& spec) {
         params.fabric_rails = p.fabric_rails;
         params.bandwidth_gbps = p.ol_bandwidth_gbps;
         params.latency_us = p.ol_latency_us;
-        // Deadline points pin their deadline through the same env knob a
-        // user would set, so the plumbing is exercised and the ambient
-        // environment can't skew the recorded point.
-        const char* prev_deadline = std::getenv("AMTNET_ADMIT_DEADLINE_US");
-        const std::string saved_deadline =
-            prev_deadline != nullptr ? prev_deadline : "";
         if (p.ol_admit_deadline_us > 0) {
-          ::setenv("AMTNET_ADMIT_DEADLINE_US",
-                   std::to_string(p.ol_admit_deadline_us).c_str(), 1);
+          params.admit_deadline_us = p.ol_admit_deadline_us;
         }
         const loadgen::Result result = loadgen::run_open_loop(params);
-        if (p.ol_admit_deadline_us > 0) {
-          if (prev_deadline != nullptr) {
-            ::setenv("AMTNET_ADMIT_DEADLINE_US", saved_deadline.c_str(), 1);
-          } else {
-            ::unsetenv("AMTNET_ADMIT_DEADLINE_US");
-          }
-        }
         if (!result.conserved) {
           // Conservation (generated == accepted + shed, accepted ==
           // completed + deadline drops) is the subsystem's contract; a

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <stdexcept>
@@ -34,12 +33,6 @@ std::uint32_t pow2_floor(std::uint32_t n) {
   std::uint32_t p = 1;
   while (p * 2 <= n) p <<= 1;
   return p;
-}
-
-std::size_t env_size(const char* name, std::size_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  return static_cast<std::size_t>(std::strtoull(value, nullptr, 10));
 }
 
 void act_coll(std::uint64_t epoch, std::uint32_t step, Rank from,
@@ -103,23 +96,15 @@ const char* coll_algo_name(CollAlgo algo) {
   return "unknown";
 }
 
-CollTuning coll_tuning_from_environment(const std::string& config_token) {
+CollTuning coll_tuning(const std::string& config_token) {
+  if (!config_token.empty() && config_token != "central" &&
+      config_token != "tree" && config_token != "rd" &&
+      config_token != "ring") {
+    throw std::invalid_argument("unknown collective algorithm family: " +
+                                config_token);
+  }
   CollTuning tuning;
   tuning.force = config_token;
-  if (const char* forced = std::getenv("AMTNET_COLL_ALGO")) {
-    tuning.force = forced;
-  }
-  if (tuning.force == "auto") tuning.force.clear();
-  if (!tuning.force.empty() && tuning.force != "central" &&
-      tuning.force != "tree" && tuning.force != "rd" &&
-      tuning.force != "ring") {
-    throw std::invalid_argument("unknown collective algorithm family: " +
-                                tuning.force);
-  }
-  tuning.seg_bytes =
-      std::max<std::size_t>(1, env_size("AMTNET_COLL_SEG_BYTES", 8192));
-  tuning.large_bytes = env_size("AMTNET_COLL_LARGE_BYTES", 16384);
-  tuning.window = std::max<std::size_t>(2, env_size("AMTNET_COLL_WINDOW", 16));
   return tuning;
 }
 
@@ -218,14 +203,22 @@ CollectiveGroup*& CollectiveGroup::slot(Rank rank) {
 }
 
 CollectiveGroup::CollectiveGroup(Runtime& runtime)
+    : CollectiveGroup(runtime,
+                      coll_tuning(runtime.config().parcelport.coll)) {}
+
+CollectiveGroup::CollectiveGroup(Runtime& runtime, const CollTuning& tuning)
     : runtime_(runtime),
       num_ranks_(runtime.num_localities()),
-      tuning_(coll_tuning_from_environment(runtime.config().parcelport.coll)),
+      tuning_(tuning),
       rank_epoch_(num_ranks_),
       ops_(runtime.telemetry().counter("amt/coll/ops")),
       msgs_(runtime.telemetry().counter("amt/coll/msgs")),
       bytes_(runtime.telemetry().counter("amt/coll/bytes")),
       depth_(runtime.telemetry().counter("amt/coll/depth")) {
+  if (tuning_.seg_bytes == 0 || tuning_.window < 2) {
+    throw std::invalid_argument(
+        "CollTuning needs seg_bytes >= 1 and window >= 2");
+  }
   window_.reserve(tuning_.window);
   for (std::size_t i = 0; i < tuning_.window; ++i) {
     window_.push_back(std::make_unique<RoundSlot>());

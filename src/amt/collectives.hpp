@@ -16,8 +16,8 @@
 //
 // plus the centralised variants kept as the measurable baseline. The
 // algorithm is chosen per call by payload size x locality count through
-// select_algorithm(); `coll<ALGO>` config tokens and AMTNET_COLL_* env
-// knobs override it (docs/collectives.md documents the model, and a test
+// select_algorithm(); a `coll<ALGO>` config token or an explicit CollTuning
+// overrides it (docs/collectives.md documents the model, and a test
 // cross-checks the doc against collective_selection_table_markdown()).
 //
 // Round matching: every rank's n-th collective call joins epoch n (per-rank
@@ -77,22 +77,21 @@ enum class CollAlgo {
 const char* coll_op_name(CollOp op);
 const char* coll_algo_name(CollAlgo algo);
 
-/// Selection inputs, resolved once per CollectiveGroup: a forced algorithm
-/// family ("" = auto; "central", "tree", "rd", "ring") from the
-/// AMTNET_COLL_ALGO env knob or the `coll<ALGO>` config token, the
-/// pipelining segment size, the small/large payload crossover, and the
-/// round-window slot count.
+/// Selection inputs, fixed per CollectiveGroup: a forced algorithm family
+/// ("" = auto; "central", "tree", "rd", "ring") from the `coll<ALGO>`
+/// config token, the pipelining segment size, the small/large payload
+/// crossover, and the round-window slot count.
 struct CollTuning {
-  std::string force;               // "" | central | tree | rd | ring
-  std::size_t seg_bytes = 8192;    // AMTNET_COLL_SEG_BYTES
-  std::size_t large_bytes = 16384; // AMTNET_COLL_LARGE_BYTES
-  std::size_t window = 16;         // AMTNET_COLL_WINDOW
+  std::string force;                // "" | central | tree | rd | ring
+  std::size_t seg_bytes = 8192;     // pipelined-broadcast segment (>= 1)
+  std::size_t large_bytes = 16384;  // small/large payload crossover
+  std::size_t window = 16;          // in-flight round slots (>= 2)
 };
 
-/// Reads the AMTNET_COLL_* knobs, with `config_token` (the parcelport's
-/// coll token value) as the fallback for the forced family. Throws
-/// std::invalid_argument for an unknown family name.
-CollTuning coll_tuning_from_environment(const std::string& config_token = "");
+/// Default tuning with `config_token` (the parcelport's coll token value)
+/// as the forced family. Throws std::invalid_argument for an unknown
+/// family name.
+CollTuning coll_tuning(const std::string& config_token);
 
 /// The documented selection model: payload size x locality count ->
 /// algorithm, honouring the forced family where it applies to the op.
@@ -119,7 +118,11 @@ class CollectiveGroup {
   /// One group per runtime; registers itself in the per-rank slots used by
   /// the action entry points. Construct after Runtime::start, destroy
   /// before Runtime::stop.
+  /// The tuning comes from the runtime's coll<ALGO> token.
   explicit CollectiveGroup(Runtime& runtime);
+  /// Explicit tuning (segment size, crossover, window). Throws
+  /// std::invalid_argument for seg_bytes 0 or a window below 2.
+  CollectiveGroup(Runtime& runtime, const CollTuning& tuning);
   ~CollectiveGroup();
   CollectiveGroup(const CollectiveGroup&) = delete;
   CollectiveGroup& operator=(const CollectiveGroup&) = delete;

@@ -1,6 +1,5 @@
 #include "amt/parcelport.hpp"
 
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 
@@ -32,30 +31,6 @@ bool parse_admission_token(const std::string& token, const char* prefix,
 
 }  // namespace
 
-void apply_admission_env(AdmissionConfig& config) {
-  if (const char* s = std::getenv("AMTNET_ADMIT_POLICY")) {
-    const std::string policy(s);
-    if (policy == "off" || policy == "none") {
-      config.policy = AdmissionConfig::Policy::kNone;
-    } else if (policy == "shed") {
-      config.policy = AdmissionConfig::Policy::kShed;
-    } else if (policy == "block") {
-      config.policy = AdmissionConfig::Policy::kBlock;
-    } else if (policy == "deadline") {
-      config.policy = AdmissionConfig::Policy::kDeadline;
-    } else {
-      throw std::invalid_argument("AMTNET_ADMIT_POLICY must be "
-                                  "off|shed|block|deadline: " + policy);
-    }
-  }
-  if (const char* s = std::getenv("AMTNET_ADMIT_BOUND")) {
-    config.queue_bound = std::strtoull(s, nullptr, 10);
-  }
-  if (const char* s = std::getenv("AMTNET_ADMIT_DEADLINE_US")) {
-    config.deadline_us = std::strtod(s, nullptr);
-  }
-}
-
 ParcelportConfig ParcelportConfig::parse(const std::string& name) {
   ParcelportConfig config;
   bool kind_seen = false;
@@ -80,25 +55,22 @@ ParcelportConfig ParcelportConfig::parse(const std::string& name) {
       config.progress = ProgressType::kWorker;
     } else if (token == "i") {
       config.send_immediate = true;
-    } else if (token == "pdinf") {
-      config.lci_pipeline_depth = 0;
     } else if (token.size() > 2 && token.compare(0, 2, "pd") == 0 &&
                token.find_first_not_of("0123456789", 2) == std::string::npos) {
       const unsigned long depth = std::stoul(token.substr(2));
       if (depth == 0) {
         throw std::invalid_argument(
-            "pipeline depth must be >= 1 (use pdinf for unbounded): " + name);
+            "pipeline depth must be >= 1 (omit pd<N> for unbounded): " +
+            name);
       }
       config.lci_pipeline_depth = depth;
-    } else if (token == "ptinf") {
-      config.lci_progress_threads = 0;
     } else if (token.size() > 2 && token.compare(0, 2, "pt") == 0 &&
                token.find_first_not_of("0123456789", 2) == std::string::npos) {
       const unsigned long threads = std::stoul(token.substr(2));
       if (threads == 0) {
         throw std::invalid_argument(
-            "progress-ticket bound must be >= 1 (use ptinf for unbounded): " +
-            name);
+            "progress-ticket bound must be >= 1 (omit pt<K> for "
+            "unbounded): " + name);
       }
       config.lci_progress_threads = threads;
     } else if (token.size() > 2 && token.compare(0, 2, "rs") == 0 &&
@@ -113,8 +85,6 @@ ParcelportConfig ParcelportConfig::parse(const std::string& name) {
       config.lci_fastpath = 1;
     } else if (token == "fpoff") {
       config.lci_fastpath = 0;
-    } else if (token == "aggoff") {
-      config.lci_agg = 0;
     } else if (token.size() > 4 && token.compare(0, 4, "aggt") == 0 &&
                token.find_first_not_of("0123456789", 4) == std::string::npos) {
       config.lci_agg_age_us = static_cast<long>(std::stoul(token.substr(4)));
@@ -125,22 +95,19 @@ ParcelportConfig ParcelportConfig::parse(const std::string& name) {
         throw std::invalid_argument(
             "aggregation cap must be >= " +
             std::to_string(kMinAggFrameBytes) +
-            " bytes (the minimum one-parcel batch frame; use aggoff to "
+            " bytes (the minimum one-parcel batch frame; omit agg<N> to "
             "disable): " + name);
       }
-      config.lci_agg = static_cast<long>(cap);
+      config.lci_agg = cap;
     } else if (token.size() > 4 && token.compare(0, 4, "coll") == 0) {
       const std::string algo = token.substr(4);
-      if (algo == "auto") {
-        config.coll.clear();
-      } else if (algo == "central" || algo == "tree" || algo == "rd" ||
-                 algo == "ring") {
-        config.coll = algo;
-      } else {
+      if (algo != "central" && algo != "tree" && algo != "rd" &&
+          algo != "ring") {
         throw std::invalid_argument(
-            "collective algorithm must be auto, central, tree, rd, or "
-            "ring: " + name);
+            "collective algorithm must be central, tree, rd, or ring (omit "
+            "coll<ALGO> for auto selection): " + name);
       }
+      config.coll = algo;
     } else if (token.size() > 7 && token.compare(0, 7, "backend") == 0) {
       config.fabric_backend = token.substr(7);
       fabric::validate_backend_name(config.fabric_backend);
@@ -195,11 +162,7 @@ std::string ParcelportConfig::name() const {
     } else if (lci_fastpath == 1) {
       out += "_fp";
     }
-    if (lci_agg == 0) {
-      out += "_aggoff";
-    } else if (lci_agg > 0) {
-      out += "_agg" + std::to_string(lci_agg);
-    }
+    if (lci_agg > 0) out += "_agg" + std::to_string(lci_agg);
     if (lci_agg_age_us >= 0) {
       out += "_aggt" + std::to_string(lci_agg_age_us);
     }

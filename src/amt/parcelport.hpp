@@ -21,9 +21,9 @@ namespace amt {
 /// parcels — fire-and-forget applies — once the bound is hit. Responses and
 /// promise-bearing requests are always exempt: shedding them would strand
 /// promises (and futures) on the caller, so only best-effort traffic is
-/// ever refused. Configured by name tokens (shed<N> / block<N> / dl<N>) or
-/// the AMTNET_ADMIT_* environment knobs (env wins, see
-/// apply_admission_env).
+/// ever refused. Policy and bound come from the name tokens shed<N> /
+/// block<N> / dl<N>; the deadline has no token and is set on the struct
+/// (loadgen::Params::admit_deadline_us carries it for open-loop runs).
 struct AdmissionConfig {
   enum class Policy {
     kNone,      // unbounded queues (the historical behaviour)
@@ -39,13 +39,6 @@ struct AdmissionConfig {
 
   bool on() const { return policy != Policy::kNone && queue_bound > 0; }
 };
-
-/// Overrides fields from AMTNET_ADMIT_* environment variables (unset
-/// variables leave the passed-in value untouched):
-///   AMTNET_ADMIT_POLICY       off | shed | block | deadline
-///   AMTNET_ADMIT_BOUND        per-destination in-flight parcel cap
-///   AMTNET_ADMIT_DEADLINE_US  queue-age drop threshold (deadline policy)
-void apply_admission_env(AdmissionConfig& config);
 
 /// Which backend and which design-variant knobs to use. Parsed from the
 /// paper's configuration names, e.g. "lci_psr_cq_pin_i", "mpi_i".
@@ -68,21 +61,17 @@ struct ParcelportConfig {
   /// LCI follow-up pipeline depth: max in-flight follow-up pieces per
   /// connection. 0 = unbounded (post everything eagerly, the default);
   /// 1 reproduces the serialized one-op-per-connection behaviour. Parsed
-  /// from a "pd<N>" token ("pdinf" = unbounded); overridable at runtime by
-  /// AMTNET_LCI_PIPELINE_DEPTH when the name leaves it unbounded.
+  /// from a "pd<N>" token.
   std::size_t lci_pipeline_depth = 0;
 
   /// LCI progress-ticket bound: max threads polling the NIC concurrently in
   /// mt mode (excess callers skip cheaply). 0 = unbounded (every idle
-  /// worker polls, the pre-ticket behaviour). Parsed from a "pt<K>" token
-  /// ("ptinf" = unbounded); overridable by AMTNET_LCI_PROGRESS_THREADS when
-  /// the name leaves it unbounded.
+  /// worker polls, the pre-ticket behaviour). Parsed from a "pt<K>" token.
   std::size_t lci_progress_threads = 0;
 
   /// LCI rendezvous-state shard count ("rs<N>"; rounded up to a power of
   /// two by minilci). 0 = the device default; rs1 reproduces the single
-  /// global-table baseline for the progress ablation. Overridable by
-  /// AMTNET_LCI_RDV_SHARDS when absent from the name.
+  /// global-table baseline for the progress ablation.
   std::size_t lci_rdv_shards = 0;
 
   /// LCI small-parcel fast path (put-with-completion): a parcel whose
@@ -93,14 +82,14 @@ struct ParcelportConfig {
 
   /// LCI adaptive aggregation: per-destination coalescing of fast-path-sized
   /// parcels into multi-parcel batch frames, activated only while the
-  /// destination's admission window is backpressured. -1 = unset in the name
-  /// (AMTNET_LCI_AGG decides, default off); "aggoff" = 0 (disabled);
-  /// "agg<BYTES>" = batch-frame byte cap (capped at the eager threshold;
-  /// values below the minimum frame overhead are rejected at parse).
-  long lci_agg = -1;
+  /// destination's admission window is backpressured. 0 = off (the
+  /// default); "agg<BYTES>" = batch-frame byte cap (capped at the eager
+  /// threshold; values below the minimum frame overhead are rejected at
+  /// parse).
+  std::size_t lci_agg = 0;
   /// Age deadline in microseconds for a partially filled batch ("aggt<N>";
-  /// AMTNET_LCI_AGG_AGE_US when absent; default 200 µs when aggregation is
-  /// on). 0 disables the age trigger (size/idle flushes still apply).
+  /// -1 = absent from the name, 200 µs). 0 disables the age trigger
+  /// (size/idle flushes still apply).
   long lci_agg_age_us = -1;
 
   // MPI-parcelport ablation knobs (beyond Table 1):
@@ -116,7 +105,7 @@ struct ParcelportConfig {
   /// "tree", "rd", or "ring" force that family where the op has a member
   /// of it (see amt::select_algorithm); "" = auto (payload size x locality
   /// count selection, the default — omitted from name()). Applies to every
-  /// backend; AMTNET_COLL_ALGO overrides at runtime.
+  /// backend.
   std::string coll;
 
   /// Fabric transport backend, from a backendsim / backendshm token: "sim"

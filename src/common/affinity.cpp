@@ -1,7 +1,9 @@
 #include "common/affinity.hpp"
 
-#include <cstdlib>
+#include <stdexcept>
 #include <thread>
+
+#include "common/config.hpp"
 
 #if defined(__linux__)
 #include <pthread.h>
@@ -15,27 +17,28 @@ unsigned hardware_core_count() noexcept {
   return n == 0 ? 1 : n;
 }
 
+CpuRange cpu_range_from_environment() {
+  constexpr std::int64_t kMaxCpu = 1 << 16;
+  const std::int64_t first = env_int("AMTNET_CPU_FIRST", -1, 0, kMaxCpu);
+  const std::int64_t count = env_int("AMTNET_CPU_COUNT", -1, 1, kMaxCpu);
+  CpuRange r;
+  r.first = first >= 0 ? static_cast<unsigned>(first) : 0;
+  r.count = count >= 0 ? static_cast<unsigned>(count) : hardware_core_count();
+  r.configured = first >= 0 || count >= 0;
+  return r;
+}
+
 CpuRange process_cpu_range() noexcept {
   static const CpuRange range = [] {
-    CpuRange r;
-    r.first = 0;
-    r.count = hardware_core_count();
-    r.configured = false;
-    const char* first = std::getenv("AMTNET_CPU_FIRST");
-    if (first != nullptr && *first != '\0') {
-      r.first = static_cast<unsigned>(std::atoi(first));
-      r.configured = true;
+    try {
+      return cpu_range_from_environment();
+    } catch (const std::invalid_argument&) {
+      // amtnet::make_runtime_config refuses the value by name before a
+      // runtime starts; here the unconfigured default stands.
+      CpuRange r;
+      r.count = hardware_core_count();
+      return r;
     }
-    const char* count = std::getenv("AMTNET_CPU_COUNT");
-    if (count != nullptr && *count != '\0') {
-      const int parsed = std::atoi(count);
-      if (parsed > 0) {
-        r.count = static_cast<unsigned>(parsed);
-        r.configured = true;
-      }
-    }
-    if (r.count == 0) r.count = 1;
-    return r;
   }();
   return range;
 }

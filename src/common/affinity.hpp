@@ -20,6 +20,12 @@ struct CpuRange {
   unsigned count = 1;
   bool configured = false;
 };
+/// Reads AMTNET_CPU_FIRST / AMTNET_CPU_COUNT; throws std::invalid_argument
+/// naming the variable when either is not an integer in range.
+CpuRange cpu_range_from_environment();
+/// The range read once per process. A malformed variable yields the
+/// unconfigured default here; amtnet::make_runtime_config calls
+/// cpu_range_from_environment() first, so it throws before threads start.
 CpuRange process_cpu_range() noexcept;
 
 /// Tries to pin the calling thread to slot `slot` of the process CPU range

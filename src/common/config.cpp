@@ -1,13 +1,16 @@
 #include "common/config.hpp"
 
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
+#include <stdexcept>
 #include <string_view>
 
 namespace common {
 
 namespace {
-// Trims on a view so the key and value strings are built once, already
-// trimmed (no temporary substr copies).
+// Trims on a view so each piece is built once, already trimmed (no
+// temporary substr copies).
 std::string_view trim(std::string_view text) {
   const auto begin = text.find_first_not_of(" \t\r\n");
   if (begin == std::string_view::npos) return {};
@@ -33,60 +36,19 @@ std::vector<std::string> split_trim(const std::string& text, char delim) {
   return out;
 }
 
-KvConfig KvConfig::parse(const std::string& text) {
-  KvConfig config;
-  for (const auto& piece : split_trim(text, ',')) {
-    if (piece.empty()) continue;
-    const std::string_view view(piece);
-    const auto eq = view.find('=');
-    if (eq == std::string_view::npos) {
-      // A bare key acts as a boolean flag.
-      config.kv_.insert_or_assign(piece, std::string("1"));
-    } else {
-      config.kv_.insert_or_assign(std::string(trim(view.substr(0, eq))),
-                                  std::string(trim(view.substr(eq + 1))));
-    }
+std::int64_t env_int(const char* name, std::int64_t fallback,
+                     std::int64_t min, std::int64_t max) {
+  const char* raw = std::getenv(name);
+  if (raw == nullptr || *raw == '\0') return fallback;
+  const char* end = raw + std::strlen(raw);
+  std::int64_t value = 0;
+  const auto [stop, error] = std::from_chars(raw, end, value);
+  if (error != std::errc() || stop != end || value < min || value > max) {
+    throw std::invalid_argument(
+        std::string(name) + "=\"" + raw + "\" is not an integer in [" +
+        std::to_string(min) + ", " + std::to_string(max) + "]");
   }
-  return config;
-}
-
-std::optional<std::string> KvConfig::get(const std::string& key) const {
-  const auto it = kv_.find(key);
-  if (it == kv_.end()) return std::nullopt;
-  return it->second;
-}
-
-std::string KvConfig::get_or(const std::string& key,
-                             const std::string& fallback) const {
-  return get(key).value_or(fallback);
-}
-
-std::int64_t KvConfig::get_int_or(const std::string& key,
-                                  std::int64_t fallback) const {
-  const auto value = get(key);
-  if (!value) return fallback;
-  return std::strtoll(value->c_str(), nullptr, 10);
-}
-
-double KvConfig::get_double_or(const std::string& key, double fallback) const {
-  const auto value = get(key);
-  if (!value) return fallback;
-  return std::strtod(value->c_str(), nullptr);
-}
-
-bool KvConfig::get_bool_or(const std::string& key, bool fallback) const {
-  const auto value = get(key);
-  if (!value) return fallback;
-  return *value == "1" || *value == "true" || *value == "yes" ||
-         *value == "on";
-}
-
-void KvConfig::set(const std::string& key, const std::string& value) {
-  kv_[key] = value;
-}
-
-bool KvConfig::contains(const std::string& key) const {
-  return kv_.count(key) != 0;
+  return value;
 }
 
 const std::vector<Knob>& knob_registry() {
@@ -119,85 +81,11 @@ const std::vector<Knob>& knob_registry() {
       {Kind::kEnv, "AMTNET_TRACE_FILE", "bench_profile_trace.json",
        "where bench_profile writes its Chrome trace", "bench_profile"},
       // -- LCI parcelport --
-      {Kind::kEnv, "AMTNET_LCI_PIPELINE_DEPTH", "0 (unbounded)",
-       "max in-flight follow-up pieces per connection when the config name "
-       "carries no pd<N> token",
-       "ablation_pipeline"},
-      {Kind::kEnv, "AMTNET_LCI_PROGRESS_THREADS", "0 (unbounded)",
-       "max worker threads polling the NIC concurrently in mt mode (the "
-       "progress-ticket bound) when the config name carries no pt<K> token",
-       "ablation_progress"},
-      {Kind::kEnv, "AMTNET_LCI_RDV_SHARDS", "16",
-       "rendezvous-state table shards in minilci (rounded up to a power of "
-       "two; 1 = single global table) when the name carries no rs<N> token",
-       "ablation_progress"},
-      {Kind::kEnv, "AMTNET_LCI_AGG", "0 (off)",
-       "adaptive aggregation: batch-frame byte cap for per-destination "
-       "coalescing of fast-path parcels under backpressure (0/off disables; "
-       "clamped to [minimum frame, eager threshold]); only read when the "
-       "config name carries no agg token",
-       "ablation_aggregation"},
-      {Kind::kEnv, "AMTNET_LCI_AGG_AGE_US", "200",
-       "adaptive aggregation: microseconds a partially filled batch may age "
-       "before it is flushed anyway (0 disables the age trigger; size, "
-       "window-stall, and idle flushes still apply); only read when the "
-       "config name carries no aggt token",
-       "ablation_aggregation"},
-      // -- collectives (CollectiveGroup algorithm selection) --
-      {Kind::kEnv, "AMTNET_COLL_ALGO", "auto",
-       "force a collective algorithm family (central|tree|rd|ring) for ops "
-       "that have a member of it; auto = payload size x locality count "
-       "selection (see docs/collectives.md); overrides the coll<ALGO> "
-       "config token",
-       "ablation_collectives"},
-      {Kind::kEnv, "AMTNET_COLL_SEG_BYTES", "8192",
-       "segment size for the pipelined binomial broadcast (store-and-"
-       "forward pipelining above the large-payload crossover)",
-       "ablation_collectives"},
-      {Kind::kEnv, "AMTNET_COLL_LARGE_BYTES", "16384",
-       "small/large payload crossover: above it broadcast pipelines "
-       "segments and allreduce switches from recursive doubling to the "
-       "ring (bandwidth-optimal) algorithm",
-       "ablation_collectives"},
-      {Kind::kEnv, "AMTNET_COLL_WINDOW", "16",
-       "bounded round-window slot count for in-flight collective epochs "
-       "(each slot is an independently locked shard; minimum 2)",
-       "test_collectives"},
       {Kind::kEnv, "AMTNET_LCI_PACKET_POOL", "4096",
        "send-side packet-pool size in minilci (a pool of 1 forces fast-path "
        "pool exhaustion — the credit-conservation regression setup)",
        "test_amt AdmissionTest"},
-      {Kind::kEnv, "AMTNET_REL_SCAN_QUANTUM", "64",
-       "progress ticks between retransmit scans in the reliability layer "
-       "(0: scan on every progress call)",
-       "bench_chaos_sweep"},
-      // -- fault injection (see docs/ and README for the full model) --
-      {Kind::kEnv, "AMTNET_FAULT_DROP", "0",
-       "P(drop) per two-sided datagram", "bench_chaos_sweep, test_chaos"},
-      {Kind::kEnv, "AMTNET_FAULT_DUP", "0",
-       "P(duplicate delivery) per datagram", "bench_chaos_sweep"},
-      {Kind::kEnv, "AMTNET_FAULT_CORRUPT", "0",
-       "P(single bit-flip) per payload", "bench_chaos_sweep"},
-      {Kind::kEnv, "AMTNET_FAULT_CORRUPT_MIN", "0",
-       "only corrupt payloads >= this size (bytes)", "test_chaos"},
-      {Kind::kEnv, "AMTNET_FAULT_DELAY", "0",
-       "P(latency spike) per packet", "bench_chaos_sweep"},
-      {Kind::kEnv, "AMTNET_FAULT_DELAY_US", "50",
-       "latency-spike magnitude (microseconds)", "bench_chaos_sweep"},
-      {Kind::kEnv, "AMTNET_FAULT_BROWNOUT", "0",
-       "P(entering a brownout) per post", "bench_chaos_sweep"},
-      {Kind::kEnv, "AMTNET_FAULT_BROWNOUT_POSTS", "64",
-       "posts rejected (kRetry) per brownout", "test_chaos"},
-      {Kind::kEnv, "AMTNET_FAULT_RNR", "0",
-       "P(entering an RNR storm) per poll", "bench_chaos_sweep"},
-      {Kind::kEnv, "AMTNET_FAULT_RNR_POLLS", "32",
-       "polls stalled per RNR storm", "test_chaos"},
-      {Kind::kEnv, "AMTNET_FAULT_SEED", "fixed constant",
-       "seed of the deterministic fault streams (any u64)", "test_chaos"},
-      {Kind::kEnv, "AMTNET_FAULT_INTEGRITY", "0",
-       "1: arm the CRC/sequence integrity layer with all fault "
-       "probabilities 0",
-       "bench_chaos_sweep"},
+      // -- chaos test harness --
       {Kind::kEnv, "AMTNET_CHAOS_SEEDS", "1..8 in CI",
        "comma-separated seed sweep for the chaos test harness",
        "test_chaos"},
@@ -236,24 +124,6 @@ const std::vector<Knob>& knob_registry() {
       {Kind::kEnv, "AMTNET_CPU_COUNT", "hardware cores",
        "number of CPUs in this process's affinity range",
        "amtnet_launch"},
-      // -- serving path: admission control and the open-loop load generator --
-      {Kind::kEnv, "AMTNET_ADMIT_POLICY", "off",
-       "send-path admission policy override: off|shed|block|deadline "
-       "(config-name tokens take precedence)",
-       "openloop"},
-      {Kind::kEnv, "AMTNET_ADMIT_BOUND", "64",
-       "per-destination admission window: parcels accepted but not yet "
-       "executed at the destination (credits return from the destination's "
-       "handler, so the window spans the whole serving path)",
-       "openloop"},
-      {Kind::kEnv, "AMTNET_ADMIT_DEADLINE_US", "1000",
-       "deadline policy: max queue age in microseconds before a parcel is "
-       "dropped at flush time",
-       "openloop"},
-      {Kind::kEnv, "AMTNET_LOADGEN_SEED", "2026",
-       "overrides the open-loop arrival-schedule seed (the schedule is "
-       "bit-for-bit reproducible per seed)",
-       "openloop"},
       // -- parcelport config-name tokens (Table 1 + ablations) --
       {Kind::kConfigToken, "mpi | lci", "lci",
        "backend selection prefix of the configuration name",
@@ -272,12 +142,12 @@ const std::vector<Knob>& knob_registry() {
        "send-immediate: bypass the parcel queue and connection cache",
        "ablation_aggregation"},
       {Kind::kConfigToken, "pd<N>", "unbounded",
-       "LCI follow-up pipeline depth (pd1 = serialized one-op walk, "
-       "pdinf/no token = unbounded)",
+       "LCI follow-up pipeline depth (pd1 = serialized one-op walk, no "
+       "token = unbounded)",
        "ablation_pipeline"},
       {Kind::kConfigToken, "pt<K>", "unbounded",
        "LCI progress-ticket bound: max concurrent NIC pollers in mt mode "
-       "(ptinf/no token = every idle worker polls)",
+       "(no token = every idle worker polls)",
        "ablation_progress"},
       {Kind::kConfigToken, "rs<N>", "16",
        "LCI rendezvous-state shard count (rs1 = the single global-table "
@@ -289,24 +159,25 @@ const std::vector<Knob>& knob_registry() {
        "skipping connection acquisition and follow-up transfers (fpoff = "
        "kill switch)",
        "ablation_fastpath"},
-      {Kind::kConfigToken, "agg<N> | aggt<U> | aggoff", "off",
+      {Kind::kConfigToken, "agg<N> | aggt<U>", "off",
        "LCI adaptive aggregation: coalesce fast-path parcels bound for a "
        "backpressured destination into one batch frame of at most N bytes "
        "(agg<N>, minimum 24 B, the one-parcel frame overhead), flushed by "
        "size, window stall (the buffer absorbed every outstanding admission "
-       "credit), age (aggt<U> microseconds), idle background work, or stop "
-       "(aggoff = kill switch)",
+       "credit), age (aggt<U> microseconds, default 200), idle background "
+       "work, or stop (no agg<N> token = off)",
        "ablation_aggregation"},
       {Kind::kConfigToken, "shed<N> | block<N> | dl<N>", "off",
        "send-path admission control with per-destination window N: shed "
        "refuses surplus fire-and-forget parcels at the bound, block "
        "backpressures the producer task, dl admits up to N but drops "
-       "parcels whose queue age exceeds AMTNET_ADMIT_DEADLINE_US",
+       "parcels whose queue age exceeds AdmissionConfig::deadline_us "
+       "(default 1000 us)",
        "openloop"},
       {Kind::kConfigToken, "coll<ALGO>", "auto",
        "collective algorithm family for CollectiveGroup ops (collcentral | "
-       "colltree | collrd | collring | collauto); applies to every backend "
-       "and is overridden by AMTNET_COLL_ALGO",
+       "colltree | collrd | collring; no token = auto selection); applies "
+       "to every backend",
        "ablation_collectives"},
       {Kind::kConfigToken, "fine", "off (coarse)",
        "fine-grained progress lock in the MPI/UCX layer",

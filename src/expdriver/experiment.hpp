@@ -59,15 +59,14 @@ struct PointSpec {
   unsigned window = 1;              // latency chains
   unsigned workers = 0;             // 0 = environment default
   // openloop shape (reuses attempted_rate as the offered requests/s and
-  // base_total_msgs as the request count; AMTNET_LOADGEN_SEED overrides
-  // ol_seed at run time).
+  // base_total_msgs as the request count).
   std::string ol_process = "poisson";  // poisson | burst
   std::string ol_size_mix = "4096";    // "bytes:weight,..." request mix
   std::uint64_t ol_seed = 2026;
   double ol_bandwidth_gbps = 0.13;     // shaped-fabric line rate
   double ol_latency_us = 100.0;        // shaped-fabric one-way latency
-  // >0: pin AMTNET_ADMIT_DEADLINE_US for this point (deadline-drop points
-  // must not depend on whatever the ambient environment carries).
+  // >0: the point's deadline-policy queue age (loadgen::Params::
+  // admit_deadline_us); 0 keeps the AdmissionConfig default.
   unsigned ol_admit_deadline_us = 0;
   // coll shape (reuses msg_size as the payload/per-rank block and
   // base_steps as the back-to-back round count; the algorithm family rides

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "common/config.hpp"
+
 namespace expdriver {
 
 const char* point_kind_name(PointKind kind) {
@@ -22,17 +24,12 @@ RunEnv run_env_from_environment() {
   if (const char* s = std::getenv("AMTNET_BENCH_SCALE")) {
     env.scale = std::strtod(s, nullptr);
   }
-  if (const char* s = std::getenv("AMTNET_BENCH_RUNS")) {
-    env.repetitions = static_cast<int>(std::strtol(s, nullptr, 10));
-  }
-  if (const char* s = std::getenv("AMTNET_BENCH_WARMUP")) {
-    env.warmup = static_cast<int>(std::strtol(s, nullptr, 10));
-  }
-  if (const char* s = std::getenv("AMTNET_BENCH_WORKERS")) {
-    env.workers = static_cast<unsigned>(std::strtoul(s, nullptr, 10));
-  }
-  if (env.repetitions < 1) env.repetitions = 1;
-  if (env.warmup < 0) env.warmup = 0;
+  env.repetitions = static_cast<int>(
+      common::env_int("AMTNET_BENCH_RUNS", env.repetitions, 1, 1000));
+  env.warmup = static_cast<int>(
+      common::env_int("AMTNET_BENCH_WARMUP", env.warmup, 0, 1000));
+  env.workers = static_cast<unsigned>(
+      common::env_int("AMTNET_BENCH_WORKERS", env.workers, 1, 256));
   return env;
 }
 

@@ -27,6 +27,9 @@
 // `seed`, so a run's fault pattern is a pure function of (seed, per-NIC
 // operation order) and any failure reproduces from its logged seed. Every
 // injected fault is counted in telemetry (fabric/nic<rank>/faults_*).
+// Programs set it through amtnet::StackOptions::faults (copied into
+// fabric::Config::faults); bench::RateParams and loadgen::Params carry one
+// for the chaos sweep and the open-loop runs.
 #pragma once
 
 #include <cstddef>
@@ -61,18 +64,5 @@ struct FaultConfig {
 
   std::string describe() const;
 };
-
-/// Overrides fields from AMTNET_FAULT_* environment variables (unset
-/// variables leave the passed-in value untouched):
-///   AMTNET_FAULT_DROP, AMTNET_FAULT_DUP, AMTNET_FAULT_CORRUPT,
-///   AMTNET_FAULT_DELAY, AMTNET_FAULT_BROWNOUT, AMTNET_FAULT_RNR
-///       — probabilities in [0, 1]
-///   AMTNET_FAULT_DELAY_US          — latency-spike size (microseconds)
-///   AMTNET_FAULT_BROWNOUT_POSTS    — brownout window length (posts)
-///   AMTNET_FAULT_RNR_POLLS         — RNR storm length (poll_rx calls)
-///   AMTNET_FAULT_CORRUPT_MIN       — min payload size eligible for bit flips
-///   AMTNET_FAULT_SEED              — the deterministic seed
-///   AMTNET_FAULT_INTEGRITY         — 1: force integrity machinery on
-void apply_fault_env(FaultConfig& config);
 
 }  // namespace fabric

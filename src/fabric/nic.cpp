@@ -1,9 +1,11 @@
 #include "fabric/nic.hpp"
 
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
+#include "common/config.hpp"
 #include "common/logging.hpp"
 #include "fabric/backend_shm.hpp"
 #include "fabric/backend_sim.hpp"
@@ -70,16 +72,15 @@ void apply_backend_env(Config& config) {
     validate_backend_name(v);
     config.backend = v;
   }
-  if (const char* v = std::getenv("AMTNET_SHM_RANK"); v != nullptr && *v) {
-    config.local_rank = std::atoi(v);
-  }
+  config.local_rank = static_cast<int>(common::env_int(
+      "AMTNET_SHM_RANK", config.local_rank, -1,
+      std::numeric_limits<int>::max()));
   if (const char* v = std::getenv("AMTNET_SHM_SESSION"); v != nullptr && *v) {
     config.shm_session = v;
   }
-  if (const char* v = std::getenv("AMTNET_SHM_RING_DEPTH");
-      v != nullptr && *v) {
-    config.shm_ring_depth = static_cast<std::size_t>(std::atoll(v));
-  }
+  config.shm_ring_depth = static_cast<std::size_t>(common::env_int(
+      "AMTNET_SHM_RING_DEPTH",
+      static_cast<std::int64_t>(config.shm_ring_depth), 1, 1 << 20));
 }
 
 Fabric::Fabric(const Config& config, telemetry::Registry* registry)

@@ -127,10 +127,7 @@ Result run_open_loop(const Params& params) {
   if (params.localities < 2) {
     throw std::invalid_argument("loadgen: need at least 2 localities");
   }
-  ArrivalConfig arrival = params.arrival;
-  if (const char* s = std::getenv("AMTNET_LOADGEN_SEED")) {
-    arrival.seed = std::strtoull(s, nullptr, 10);
-  }
+  const ArrivalConfig& arrival = params.arrival;
 
   amtnet::StackOptions options;
   options.parcelport = params.parcelport;
@@ -142,6 +139,7 @@ Result run_open_loop(const Params& params) {
   options.fabric_rails = params.fabric_rails;
   options.faults = params.faults;
   amt::RuntimeConfig config = amtnet::make_runtime_config(options);
+  config.parcelport.admission.deadline_us = params.admit_deadline_us;
   // Shaped fabric: wall-clock latency/bandwidth gating makes the saturation
   // capacity a property of the model (bandwidth / mean request size), not of
   // the host machine, so the latency knee lands at the same offered load on

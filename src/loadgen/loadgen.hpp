@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "amt/parcelport.hpp"
 #include "fabric/fault.hpp"
 #include "telemetry/registry.hpp"
 
@@ -41,7 +42,7 @@ struct ArrivalConfig {
   enum class Process : std::uint8_t { kPoisson, kBurst };
   Process process = Process::kPoisson;
   double rate_rps = 1000.0;    // long-run offered load, requests/second
-  std::uint64_t seed = 2026;   // AMTNET_LOADGEN_SEED overrides at run time
+  std::uint64_t seed = 2026;   // the schedule is a pure function of it
   // kBurst shape: exponential ON periods of mean burst_on_ms during which
   // arrivals are Poisson at rate_rps / burst_duty, separated by exponential
   // OFF periods sized so the ON fraction is burst_duty.
@@ -78,7 +79,10 @@ struct Params {
   double bandwidth_gbps = 0.13;
   double latency_us = 100.0;
   unsigned fabric_rails = 1;
-  fabric::FaultConfig faults;  // compose with the chaos regimes (PR-3)
+  fabric::FaultConfig faults;  // compose with the chaos regimes
+  // Deadline policy (dl<N> token): max queue age before a parcel is dropped
+  // at flush time; written into AdmissionConfig::deadline_us.
+  double admit_deadline_us = amt::AdmissionConfig{}.deadline_us;
 };
 
 struct Result {
@@ -93,8 +97,8 @@ struct Result {
   /// accepted == completed + deadline_drops and
   /// generated == accepted + shed, checked at quiescence.
   bool conserved = false;
-  /// FNV-1a over the arrival offsets actually used (after the
-  /// AMTNET_LOADGEN_SEED override): equal hash == bit-for-bit equal schedule.
+  /// FNV-1a over the arrival offsets actually used: equal hash ==
+  /// bit-for-bit equal schedule.
   std::uint64_t schedule_hash = 0;
 
   double offered_kps = 0.0;  // configured long-run arrival rate
@@ -112,9 +116,9 @@ struct Result {
 };
 
 /// Runs one open-loop experiment. Admission policy comes from the parcelport
-/// config tokens (shed<N>/block<N>/dl<N>) or the AMTNET_ADMIT_* knobs; the
-/// arrival seed can be pinned with AMTNET_LOADGEN_SEED. One run at a time
-/// per process (the sink channels through globals, like the bench harness).
+/// config tokens (shed<N>/block<N>/dl<N>), the deadline from
+/// admit_deadline_us. One run at a time per process (the sink channels
+/// through globals, like the bench harness).
 Result run_open_loop(const Params& params);
 
 /// Installs a callback receiving the telemetry snapshot of each run, taken

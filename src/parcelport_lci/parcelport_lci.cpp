@@ -2,109 +2,29 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <mutex>
 #include <string>
 
 #include "common/affinity.hpp"
 #include "common/clock.hpp"
+#include "common/config.hpp"
 #include "common/integrity.hpp"
 #include "common/logging.hpp"
 
 namespace pplci {
 
 namespace {
-minilci::Config make_device_config(const amt::ParcelportContext& context) {
-  minilci::Config config;
-  // The LCI eager threshold stays at its default; the header message must
-  // fit in one medium message, so the header cap below accounts for both.
-  (void)context;
-  // Send-side packet pool size (primarily a test knob: a pool of 1 forces
-  // fast-path pool exhaustion to pin the fallback/credit-conservation
-  // behaviour).
-  if (const char* s = std::getenv("AMTNET_LCI_PACKET_POOL")) {
-    const std::size_t pool =
-        static_cast<std::size_t>(std::strtoul(s, nullptr, 10));
-    if (pool > 0) config.packet_pool_size = pool;
-  }
-  // Rendezvous-state shard count: the config token ("rs<N>") wins, the
-  // environment fills in, the minilci default otherwise. rs1 collapses the
-  // sharded tables to one table + lock (the ablation baseline).
-  if (context.config.lci_rdv_shards > 0) {
-    config.rdv_shards = context.config.lci_rdv_shards;
-  } else if (const char* s = std::getenv("AMTNET_LCI_RDV_SHARDS")) {
-    const std::size_t shards =
-        static_cast<std::size_t>(std::strtoul(s, nullptr, 10));
-    if (shards > 0) config.rdv_shards = shards;
-  }
-  return config;
-}
-
-int resolve_progress_threads(const amt::ParcelportConfig& config) {
-  if (config.lci_progress_threads > 0) {
-    return static_cast<int>(config.lci_progress_threads);
-  }
-  if (const char* s = std::getenv("AMTNET_LCI_PROGRESS_THREADS")) {
-    return static_cast<int>(std::strtoul(s, nullptr, 10));
-  }
-  return 0;  // unbounded
-}
-
-std::size_t resolve_pipeline_depth(const amt::ParcelportConfig& config) {
-  // The config name ("pd<N>" token) wins; the environment only fills in
-  // when the name leaves the depth unbounded.
-  if (config.lci_pipeline_depth > 0) return config.lci_pipeline_depth;
-  if (const char* s = std::getenv("AMTNET_LCI_PIPELINE_DEPTH")) {
-    return static_cast<std::size_t>(std::strtoul(s, nullptr, 10));
-  }
-  return 0;
-}
-
-std::size_t resolve_agg_cap(const amt::ParcelportConfig& config,
-                            std::size_t eager_threshold) {
-  // The config name ("agg<N>"/"aggoff" token) wins; the environment fills in
-  // otherwise; the default is OFF (aggregation is opt-in — it changes frame
-  // timing, so the historical configurations stay bit-identical). The cap
-  // bounds the whole batch frame and can never exceed one medium message.
-  long value = config.lci_agg;
-  if (value < 0) {
-    value = 0;
-    if (const char* s = std::getenv("AMTNET_LCI_AGG")) {
-      const std::string text(s);
-      if (text == "0" || text == "off" || text == "false") {
-        value = 0;
-      } else {
-        value = std::strtol(text.c_str(), nullptr, 10);
-        if (value < 0) value = 0;
-      }
-    }
-  }
-  if (value == 0) return 0;
-  if (static_cast<std::size_t>(value) < amt::kMinAggFrameBytes) {
-    // Config-name tokens are rejected at parse; this catches the env path.
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true, std::memory_order_relaxed)) {
-      AMTNET_LOG_WARN("pplci: AMTNET_LCI_AGG=", value,
-                      " is below the minimum one-parcel batch frame (",
-                      amt::kMinAggFrameBytes, " bytes) — raising to ",
-                      amt::kMinAggFrameBytes);
-    }
-    value = static_cast<long>(amt::kMinAggFrameBytes);
-  }
-  return std::min(static_cast<std::size_t>(value), eager_threshold);
-}
-
-common::Nanos resolve_agg_age_ns(const amt::ParcelportConfig& config) {
-  // "aggt<USEC>" token wins, AMTNET_LCI_AGG_AGE_US fills in, default 200 µs.
-  // 0 disables the age trigger (size/idle/final flushes still apply).
-  long value = config.lci_agg_age_us;
-  if (value < 0) {
-    if (const char* s = std::getenv("AMTNET_LCI_AGG_AGE_US")) {
-      value = std::strtol(s, nullptr, 10);
-    }
-  }
-  if (value < 0) value = 200;
-  return static_cast<common::Nanos>(value) * 1000;
+minilci::Config make_device_config(const amt::ParcelportConfig& config) {
+  minilci::Config device;
+  // Send-side packet pool size (a test hook: a pool of 1 forces fast-path
+  // pool exhaustion to pin the fallback/credit-conservation behaviour).
+  device.packet_pool_size = static_cast<std::size_t>(common::env_int(
+      "AMTNET_LCI_PACKET_POOL",
+      static_cast<std::int64_t>(device.packet_pool_size), 1, 1 << 20));
+  // Rendezvous-state shard count ("rs<N>"; rs1 collapses the sharded tables
+  // to one table + lock, the ablation baseline; absent = device default).
+  if (config.lci_rdv_shards > 0) device.rdv_shards = config.lci_rdv_shards;
+  return device;
 }
 
 std::string pp_metric(amt::Rank rank, const char* leaf) {
@@ -113,22 +33,26 @@ std::string pp_metric(amt::Rank rank, const char* leaf) {
 }  // namespace
 
 LciParcelport::LciParcelport(const amt::ParcelportContext& context)
+    : LciParcelport(context, make_device_config(context.config)) {}
+
+LciParcelport::LciParcelport(const amt::ParcelportContext& context,
+                             const minilci::Config& device_config)
     : context_(context),
       protocol_(context.config.protocol),
       progress_type_(context.config.progress),
       completion_type_(context.config.completion),
       max_header_size_(std::min(
           std::max(context.zero_copy_threshold, sizeof(amt::WireHeader)),
-          make_device_config(context).eager_threshold)),
-      pipeline_depth_(resolve_pipeline_depth(context.config)),
-      progress_threads_(resolve_progress_threads(context.config)),
+          device_config.eager_threshold)),
+      pipeline_depth_(context.config.lci_pipeline_depth),
+      progress_threads_(static_cast<int>(context.config.lci_progress_threads)),
       fastpath_cap_(context.config.lci_fastpath == 0
                         ? 0
-                        : make_device_config(context).eager_threshold),
-      agg_cap_(resolve_agg_cap(context.config,
-                               make_device_config(context).eager_threshold)),
-      device_(*context.fabric, context.rank, make_device_config(context),
-              &remote_put_cq_),
+                        : device_config.eager_threshold),
+      // The cap bounds the whole batch frame, so it never exceeds one medium
+      // message (parse already rejected caps below the minimum frame).
+      agg_cap_(std::min(context.config.lci_agg, device_config.eager_threshold)),
+      device_(*context.fabric, context.rank, device_config, &remote_put_cq_),
       progress_tickets_(progress_threads_),
       progress_backoff_(context.num_workers + 1),
       header_seq_tx_(context.fabric->num_ranks()),
@@ -184,7 +108,11 @@ LciParcelport::LciParcelport(const amt::ParcelportContext& context)
   if (agg_cap_ > 0) {
     aggregator_ = std::make_unique<amt::Aggregator>(
         context.fabric->num_ranks(), agg_cap_,
-        resolve_agg_age_ns(context.config),
+        // aggt<U> microseconds, default 200; 0 disables the age trigger.
+        static_cast<common::Nanos>(context.config.lci_agg_age_us < 0
+                                       ? 200
+                                       : context.config.lci_agg_age_us) *
+            1000,
         [this](amt::Rank dst, std::vector<amt::Aggregator::Entry>&& batch,
                amt::Aggregator::FlushReason reason) {
           flush_batch(dst, std::move(batch), reason);

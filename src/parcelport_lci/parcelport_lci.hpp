@@ -35,10 +35,10 @@
 //                             CQ — the only mechanism LCI's put supports),
 //   * send-immediate `_i`   — handled above this layer (parcel queue and
 //                             connection cache bypass in amt::Locality),
-//   * pipeline   pd<N>      — follow-up pipeline depth (pdinf/absent =
-//                             unbounded; also AMTNET_LCI_PIPELINE_DEPTH),
+//   * pipeline   pd<N>      — follow-up pipeline depth (absent =
+//                             unbounded),
 //   * fast path  fp/fpoff   — small-parcel put-with-completion (below),
-//   * aggregation agg<N>/aggt<U>/aggoff — adaptive per-destination
+//   * aggregation agg<N>/aggt<U> — adaptive per-destination
 //                             coalescing of small parcels (below).
 //
 // One eager frame: every parcel sent without a connection travels as a
@@ -55,13 +55,13 @@
 // immediately as that frame. Larger parcels take the unchanged header +
 // follow-up path (counted under pplci/*/fastpath_fallbacks).
 //
-// Adaptive aggregation (agg<BYTES> token / AMTNET_LCI_AGG, off by default):
+// Adaptive aggregation (agg<BYTES> token, off by default):
 // small parcels bound for a *backpressured* destination (admission credits
 // outstanding — ParcelportContext::queue_depth) are coalesced in a
 // per-destination amt::Aggregator buffer and leave as one multi-parcel
 // frame, amortizing per-message injection overhead across the batch.
-// Frames flush on a size cap, an age deadline (aggt<USEC> /
-// AMTNET_LCI_AGG_AGE_US), idle background work, or stop(). When the
+// Frames flush on a size cap, an age deadline (aggt<USEC>, default 200),
+// idle background work, or stop(). When the
 // destination is idle, parcels keep taking the fast path unbuffered.
 #pragma once
 
@@ -240,6 +240,10 @@ class LciParcelport final : public amt::Parcelport {
   /// round in pplci/*/send_retries.
   void send_backoff(unsigned& round);
   void progress_thread_loop();
+
+  /// The public constructor builds `device_config` once and delegates here.
+  LciParcelport(const amt::ParcelportContext& context,
+                const minilci::Config& device_config);
 
   const amt::ParcelportContext context_;
   const amt::ParcelportConfig::Protocol protocol_;

@@ -1,12 +1,21 @@
 #include "stack/stack.hpp"
 
-#include <cstdlib>
 #include <stdexcept>
+
+#include "common/affinity.hpp"
+#include "common/config.hpp"
 
 #include "parcelport_lci/parcelport_lci.hpp"
 #include "parcelport_mpi/parcelport_mpi.hpp"
 
 namespace amtnet {
+
+namespace {
+// Upper bound for AMTNET_SHM_RANKS: far above any single host's rank count,
+// low enough that a wrapped negative value is refused rather than
+// allocating per-rank state for 2^32 localities.
+constexpr std::int64_t kMaxLaunchRanks = 1 << 16;
+}  // namespace
 
 amt::Runtime::ParcelportFactory default_parcelport_factory() {
   return [](amt::Runtime&, const amt::ParcelportContext& context)
@@ -31,22 +40,20 @@ fabric::Config platform_config(const std::string& platform,
 
 amt::RuntimeConfig make_runtime_config(const StackOptions& options) {
   amt::RuntimeConfig config;
-  config.num_localities = options.num_localities;
   // amtnet_launch exports the multi-process locality count; it must win so
   // SPMD binaries written against a single-process default run unmodified.
-  if (const char* ranks = std::getenv("AMTNET_SHM_RANKS");
-      ranks != nullptr && *ranks != '\0') {
-    config.num_localities = static_cast<amt::Rank>(std::atoi(ranks));
-  }
+  config.num_localities = static_cast<amt::Rank>(common::env_int(
+      "AMTNET_SHM_RANKS", options.num_localities, 1, kMaxLaunchRanks));
+  // Validated here rather than in the noexcept process_cpu_range(), so a
+  // bad AMTNET_CPU_* value names itself before any thread starts.
+  (void)common::cpu_range_from_environment();
   config.threads_per_locality = options.threads_per_locality;
   config.zero_copy_threshold = options.zero_copy_threshold;
   config.max_connections = options.max_connections;
   config.parcelport = amt::ParcelportConfig::parse(options.parcelport);
-  amt::apply_admission_env(config.parcelport.admission);
   config.fabric = platform_config(options.platform, config.num_localities);
   if (options.fabric_rails != 0) config.fabric.num_rails = options.fabric_rails;
   config.fabric.faults = options.faults;
-  fabric::apply_fault_env(config.fabric.faults);
   // Backend resolution: AMTNET_BACKEND env > StackOptions::backend >
   // backend<name> config token > "sim".
   if (!options.backend.empty()) {

@@ -27,8 +27,7 @@ struct StackOptions {
   /// backend<sim|shm> token says (default sim). Explicit values here beat
   /// the token; the AMTNET_BACKEND env var beats both.
   std::string backend;
-  // Fault-injection seeds/probabilities; AMTNET_FAULT_* env knobs are layered
-  // on top of these in make_runtime_config (env wins over code defaults).
+  // Fault-injection seeds/probabilities, copied into fabric::Config::faults.
   fabric::FaultConfig faults;
 };
 

@@ -674,11 +674,8 @@ TEST(ParcelportConfigTest, PipelineDepthToken) {
   EXPECT_TRUE(bounded.send_immediate);
   EXPECT_EQ(bounded.name(), "lci_psr_cq_pin_pd4_i");
 
-  // Unbounded is the default and stays out of the canonical name; pdinf is
-  // an accepted explicit spelling.
+  // Unbounded is the default and stays out of the canonical name.
   EXPECT_EQ(ParcelportConfig::parse("lci_psr_cq_pin").lci_pipeline_depth, 0u);
-  EXPECT_EQ(ParcelportConfig::parse("lci_psr_cq_pin_pdinf").name(),
-            "lci_psr_cq_pin");
 
   EXPECT_EQ(ParcelportConfig::parse("lci_sr_sy_mt_pd16").name(),
             "lci_sr_sy_mt_pd16");
@@ -708,6 +705,13 @@ TEST(ParcelportConfigTest, RejectsUnknownTokens) {
   // Only the paper's two parcelports exist; "tcp" is an unknown token.
   EXPECT_THROW(amt::ParcelportConfig::parse("tcp"), std::invalid_argument);
   EXPECT_THROW(amt::ParcelportConfig::parse("tcp_i"), std::invalid_argument);
+  // Spellings of "no token" are not tokens: leaving the token out is the one
+  // way to ask for unbounded depth/tickets, no aggregation, auto collectives.
+  for (const char* name : {"lci_psr_cq_pin_pdinf", "lci_psr_cq_mt_ptinf",
+                           "lci_psr_cq_pin_aggoff_i", "mpi_i_collauto"}) {
+    EXPECT_THROW(amt::ParcelportConfig::parse(name), std::invalid_argument)
+        << name;
+  }
 }
 
 TEST(ParcelportConfigTest, AdmissionTokens) {
@@ -746,29 +750,25 @@ TEST(ParcelportConfigTest, AdmissionTokens) {
 TEST(ParcelportConfigTest, AggregationTokens) {
   using amt::ParcelportConfig;
   const auto agg = ParcelportConfig::parse("lci_psr_cq_pin_agg2048_i");
-  EXPECT_EQ(agg.lci_agg, 2048);
-  EXPECT_EQ(agg.lci_agg_age_us, -1);  // age unset: env / default decides
+  EXPECT_EQ(agg.lci_agg, 2048u);
+  EXPECT_EQ(agg.lci_agg_age_us, -1);  // age absent: the 200 us default
   EXPECT_EQ(agg.name(), "lci_psr_cq_pin_agg2048_i");
 
   const auto aged = ParcelportConfig::parse("lci_sr_sy_mt_agg1024_aggt100_i");
-  EXPECT_EQ(aged.lci_agg, 1024);
+  EXPECT_EQ(aged.lci_agg, 1024u);
   EXPECT_EQ(aged.lci_agg_age_us, 100);
   EXPECT_EQ(aged.name(), "lci_sr_sy_mt_agg1024_aggt100_i");
 
-  const auto off = ParcelportConfig::parse("lci_psr_cq_pin_aggoff_i");
-  EXPECT_EQ(off.lci_agg, 0);
-  EXPECT_EQ(off.name(), "lci_psr_cq_pin_aggoff_i");
-
-  // Unset stays out of the canonical name (the env knobs decide at start).
+  // No agg token: aggregation off, and nothing in the canonical name.
   const auto unset = ParcelportConfig::parse("lci_psr_cq_pin_i");
-  EXPECT_EQ(unset.lci_agg, -1);
+  EXPECT_EQ(unset.lci_agg, 0u);
   EXPECT_EQ(unset.name(), "lci_psr_cq_pin_i");
 
   // The tokens compose with the fast-path and admission tokens.
   const auto full =
       ParcelportConfig::parse("lci_psr_cq_mt_fp_agg2048_aggt50_i_block8");
   EXPECT_EQ(full.lci_fastpath, 1);
-  EXPECT_EQ(full.lci_agg, 2048);
+  EXPECT_EQ(full.lci_agg, 2048u);
   EXPECT_EQ(full.lci_agg_age_us, 50);
   EXPECT_EQ(full.name(), "lci_psr_cq_mt_fp_agg2048_aggt50_i_block8");
 

@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -181,6 +182,35 @@ TEST(BackendSelection, OptionsBeatTokenAndEnvBeatsBoth) {
   ::setenv("AMTNET_BACKEND", "shm", 1);
   EXPECT_EQ(amtnet::make_runtime_config(options).fabric.backend, "shm");
   ::unsetenv("AMTNET_BACKEND");
+}
+
+// Launch variables are parsed strictly: junk must not silently become rank
+// or locality count 0. make_runtime_config builds a config and starts no
+// threads.
+TEST(BackendSelection, MalformedLaunchVariablesThrowByName) {
+  const StackOptions options;
+  for (const char* bad : {"abc", "0", "-1", "4x"}) {
+    ::setenv("AMTNET_SHM_RANKS", bad, 1);
+    try {
+      (void)amtnet::make_runtime_config(options);
+      ADD_FAILURE() << "AMTNET_SHM_RANKS=" << bad << " accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("AMTNET_SHM_RANKS"),
+                std::string::npos);
+    }
+  }
+  ::setenv("AMTNET_SHM_RANKS", "3", 1);
+  EXPECT_EQ(amtnet::make_runtime_config(options).num_localities, 3u);
+  ::unsetenv("AMTNET_SHM_RANKS");
+
+  ::setenv("AMTNET_SHM_RANK", "x", 1);
+  EXPECT_THROW((void)amtnet::make_runtime_config(options),
+               std::invalid_argument);
+  ::unsetenv("AMTNET_SHM_RANK");
+  ::setenv("AMTNET_CPU_COUNT", "0", 1);
+  EXPECT_THROW((void)amtnet::make_runtime_config(options),
+               std::invalid_argument);
+  ::unsetenv("AMTNET_CPU_COUNT");
 }
 
 // ---------------- {sim, shm} conformance sweep ----------------

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -64,30 +63,6 @@ CollectiveGroup::Bytes u32_pattern(std::uint32_t rank, std::size_t words,
   }
   return data;
 }
-
-/// RAII environment override that restores the previous value on scope exit
-/// (the tests mutate AMTNET_COLL_* knobs between runtime spins only).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const std::string& value) : name_(name) {
-    const char* prev = std::getenv(name);
-    had_prev_ = prev != nullptr;
-    if (had_prev_) prev_ = prev;
-    ::setenv(name, value.c_str(), 1);
-  }
-  ~ScopedEnv() {
-    if (had_prev_) {
-      ::setenv(name_, prev_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  bool had_prev_ = false;
-  std::string prev_;
-};
 
 /// Runs one round of every byte-span collective on every rank and checks
 /// the results against locally computed references. Exercises whatever
@@ -237,21 +212,25 @@ INSTANTIATE_TEST_SUITE_P(Backends, Collectives,
 // the same coll<ALGO> config token users would write.
 TEST_P(Collectives, NonPowerOfTwoEveryAlgorithmFamily) {
   for (const amt::Rank n : {amt::Rank{3}, amt::Rank{5}, amt::Rank{9}}) {
-    amtnet::StackOptions options;
-    options.parcelport = GetParam();
-    options.num_localities = n;
-    options.threads_per_locality = 1;
-    auto runtime = amtnet::make_runtime(options);
-    for (const char* force : {"auto", "central", "tree", "rd", "ring"}) {
-      SCOPED_TRACE(std::string(GetParam()) + " n=" + std::to_string(n) +
-                   " force=" + force);
-      ScopedEnv env("AMTNET_COLL_ALGO", force);
-      CollectiveGroup group(*runtime);
-      std::atomic<int> wrong{0};
-      exercise_all_ops(*runtime, group, 16, wrong);
-      EXPECT_EQ(wrong.load(), 0);
+    // "" = no token: auto selection.
+    for (const std::string force : {"", "_collcentral", "_colltree",
+                                    "_collrd", "_collring"}) {
+      amtnet::StackOptions options;
+      options.parcelport = GetParam() + force;
+      options.num_localities = n;
+      options.threads_per_locality = 1;
+      SCOPED_TRACE(options.parcelport + " n=" + std::to_string(n));
+      auto runtime = amtnet::make_runtime(options);
+      {
+        CollectiveGroup group(*runtime);
+        ASSERT_EQ(group.tuning().force,
+                  force.empty() ? "" : force.substr(std::strlen("_coll")));
+        std::atomic<int> wrong{0};
+        exercise_all_ops(*runtime, group, 16, wrong);
+        EXPECT_EQ(wrong.load(), 0);
+      }
+      runtime->stop();
     }
-    runtime->stop();
   }
 }
 
@@ -271,19 +250,20 @@ TEST(CollectivesWide, ThirtyThreeLocalitiesAutoSelection) {
   runtime->stop();
 }
 
-// Payloads above AMTNET_COLL_LARGE_BYTES take the pipelined/segmented
+// Payloads above the large-payload crossover take the pipelined/segmented
 // paths: segmented binomial broadcast (segment size forced small so many
 // segments pipeline down the tree) and ring allreduce with uneven
 // elem-aligned chunks. Byte-exact against the same references.
 TEST(CollectivesLargePayload, SegmentedBroadcastAndRingAllreduce) {
-  ScopedEnv seg("AMTNET_COLL_SEG_BYTES", "512");
-  ScopedEnv large("AMTNET_COLL_LARGE_BYTES", "4096");
   amtnet::StackOptions options;
   options.parcelport = "lci_psr_cq_pin_i";
   options.num_localities = 5;
   options.threads_per_locality = 2;
   auto runtime = amtnet::make_runtime(options);
-  CollectiveGroup group(*runtime);
+  amt::CollTuning tuning;
+  tuning.seg_bytes = 512;
+  tuning.large_bytes = 4096;
+  CollectiveGroup group(*runtime, tuning);
   ASSERT_EQ(group.tuning().seg_bytes, 512u);
   ASSERT_EQ(group.tuning().large_bytes, 4096u);
   std::atomic<int> wrong{0};
@@ -297,20 +277,23 @@ TEST(CollectivesLargePayload, SegmentedBroadcastAndRingAllreduce) {
 // Regression shape for the unbounded-round-state hazard of the former
 // implementation (one SpinMutex'd map keyed by epoch, cleaned only when
 // leavers drained): a 4-rail fabric reorders packets across rails, and a
-// tight AMTNET_COLL_WINDOW=2 means an epoch-(e+2) arrival MUST park until
+// tight two-slot window means an epoch-(e+2) arrival MUST park until
 // slot (e % 2) recycles — if recycling or the out-of-order tagging were
 // wrong, a stale arrival would corrupt a later round or trip the
 // receipt-complete assert. Distinct payloads per epoch catch cross-epoch
 // mixups byte-exactly.
 TEST(CollectivesWindow, OutOfOrderEpochArrivalUnderRailReordering) {
-  ScopedEnv window("AMTNET_COLL_WINDOW", "2");
   amtnet::StackOptions options;
   options.parcelport = "lci_psr_cq_pin_i";
   options.num_localities = 4;
   options.threads_per_locality = 2;
   options.fabric_rails = 4;
   auto runtime = amtnet::make_runtime(options);
-  CollectiveGroup group(*runtime);
+  amt::CollTuning tuning;
+  tuning.window = 1;  // one slot cannot hold a round while the next parks
+  EXPECT_THROW(CollectiveGroup(*runtime, tuning), std::invalid_argument);
+  tuning.window = 2;
+  CollectiveGroup group(*runtime, tuning);
   ASSERT_EQ(group.tuning().window, 2u);
   std::atomic<int> wrong{0};
   on_all(*runtime, [&] {
@@ -381,8 +364,8 @@ TEST(CollectiveSelection, ForcedFamiliesAndAutoCrossovers) {
   t.force = "central";
   EXPECT_EQ(amt::select_algorithm(CollOp::kAllreduce, 65536, 16, t),
             CollAlgo::kCentral);
-  EXPECT_THROW(amt::coll_tuning_from_environment("bogus"),
-               std::invalid_argument);
+  EXPECT_THROW(amt::coll_tuning("bogus"), std::invalid_argument);
+  EXPECT_EQ(amt::coll_tuning("rd").force, "rd");
 }
 
 // ---- TSan-targetable stress floods (CI runs --gtest_filter=CollectiveStress.*)
@@ -425,14 +408,15 @@ TEST(CollectiveStress, MixedOpsFloodManyWorkers) {
 // payloads cross the zero-copy threshold, so chunk hand-off also races
 // with the rendezvous machinery.
 TEST(CollectiveStress, SegmentedLargePayloadFlood) {
-  ScopedEnv seg("AMTNET_COLL_SEG_BYTES", "1024");
-  ScopedEnv large("AMTNET_COLL_LARGE_BYTES", "2048");
   amtnet::StackOptions options;
   options.parcelport = "lci_psr_cq_mt_i";
   options.num_localities = 3;
   options.threads_per_locality = 4;
   auto runtime = amtnet::make_runtime(options);
-  CollectiveGroup group(*runtime);
+  amt::CollTuning tuning;
+  tuning.seg_bytes = 1024;
+  tuning.large_bytes = 2048;
+  CollectiveGroup group(*runtime, tuning);
   std::atomic<int> wrong{0};
   on_all(*runtime, [&] {
     const amt::Rank rank = amt::here().rank();

@@ -1,11 +1,14 @@
-// Unit tests for src/common: config parsing, RNG determinism, spin locks,
-// clock, and cache-padding invariants.
+// Unit tests for src/common: token splitting, the strict env reader, RNG
+// determinism, spin locks, clock, and cache-padding invariants.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <set>
 #include <thread>
 #include <vector>
@@ -18,47 +21,43 @@
 #include "common/spinlock.hpp"
 #include "common/status.hpp"
 
-TEST(KvConfig, ParsesKeyValuePairs) {
-  const auto config = common::KvConfig::parse("a=1, b = two ,c=3.5");
-  EXPECT_EQ(config.get_int_or("a", -1), 1);
-  EXPECT_EQ(config.get_or("b", ""), "two");
-  EXPECT_DOUBLE_EQ(config.get_double_or("c", 0.0), 3.5);
+TEST(EnvInt, StrictWholeIntegersInRange) {
+  constexpr const char* kName = "ENV_INT_TEST_VALUE";
+  ::unsetenv(kName);
+  EXPECT_EQ(common::env_int(kName, 7, 0, 10), 7);
+  ::setenv(kName, "", 1);
+  EXPECT_EQ(common::env_int(kName, 7, 0, 10), 7);  // empty reads as unset
+  ::setenv(kName, "10", 1);
+  EXPECT_EQ(common::env_int(kName, 7, 0, 10), 10);
+  ::setenv(kName, "-1", 1);
+  EXPECT_EQ(common::env_int(kName, 7, -1, 10), -1);
+  for (const char* bad : {"x", "3x", " 3", "3 ", "+3", "1.5", "11", "-1",
+                          "99999999999999999999"}) {
+    ::setenv(kName, bad, 1);
+    try {
+      (void)common::env_int(kName, 7, 0, 10);
+      ADD_FAILURE() << "accepted \"" << bad << "\"";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find(kName), std::string::npos);
+    }
+  }
+  ::unsetenv(kName);
 }
 
-TEST(KvConfig, MissingKeysFallBack) {
-  const auto config = common::KvConfig::parse("x=1");
-  EXPECT_EQ(config.get_int_or("y", 42), 42);
-  EXPECT_EQ(config.get_or("z", "dflt"), "dflt");
-  EXPECT_FALSE(config.get("y").has_value());
-}
-
-TEST(KvConfig, BareKeyIsBooleanFlag) {
-  const auto config = common::KvConfig::parse("verbose,count=2");
-  EXPECT_TRUE(config.get_bool_or("verbose", false));
-  EXPECT_FALSE(config.get_bool_or("quiet", false));
-  EXPECT_EQ(config.get_int_or("count", 0), 2);
-}
-
-TEST(KvConfig, BoolSpellings) {
-  const auto config =
-      common::KvConfig::parse("a=true,b=yes,c=on,d=1,e=0,f=false");
-  EXPECT_TRUE(config.get_bool_or("a", false));
-  EXPECT_TRUE(config.get_bool_or("b", false));
-  EXPECT_TRUE(config.get_bool_or("c", false));
-  EXPECT_TRUE(config.get_bool_or("d", false));
-  EXPECT_FALSE(config.get_bool_or("e", true));
-  EXPECT_FALSE(config.get_bool_or("f", true));
-}
-
-TEST(KvConfig, EmptyString) {
-  const auto config = common::KvConfig::parse("");
-  EXPECT_TRUE(config.entries().empty());
-}
-
-TEST(KvConfig, SetOverridesParsed) {
-  auto config = common::KvConfig::parse("a=1");
-  config.set("a", "2");
-  EXPECT_EQ(config.get_int_or("a", 0), 2);
+TEST(Affinity, MalformedCpuRangeThrowsByName) {
+  ::setenv("AMTNET_CPU_FIRST", "two", 1);
+  EXPECT_THROW((void)common::cpu_range_from_environment(),
+               std::invalid_argument);
+  ::unsetenv("AMTNET_CPU_FIRST");
+  ::setenv("AMTNET_CPU_COUNT", "0", 1);
+  EXPECT_THROW((void)common::cpu_range_from_environment(),
+               std::invalid_argument);
+  ::setenv("AMTNET_CPU_COUNT", "2", 1);
+  const common::CpuRange range = common::cpu_range_from_environment();
+  EXPECT_EQ(range.count, 2u);
+  EXPECT_TRUE(range.configured);
+  ::unsetenv("AMTNET_CPU_COUNT");
+  EXPECT_FALSE(common::cpu_range_from_environment().configured);
 }
 
 TEST(SplitTrim, SplitsAndTrims) {

@@ -7,8 +7,9 @@
 //     in the right direction per metric,
 //   * the docs renderer is idempotent (byte-identical on unchanged input),
 //   * the driver applies the uniform warmup/median-of-N policy,
-//   * the knob registry covers every AMTNET_* environment variable read
-//     anywhere in the tree (docs/tuning.md cannot silently go stale).
+//   * the knob registry's environment rows match the AMTNET_* variables
+//     read in the tree, both ways (docs/tuning.md cannot silently go stale),
+//   * every suite's config name is canonical (name() round-trips it).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "amt/parcelport.hpp"
 #include "common/config.hpp"
 #include "expdriver/compare.hpp"
 #include "expdriver/driver.hpp"
@@ -70,6 +72,20 @@ TEST(SuiteRegistry, NamesAreUnique) {
     })) << "suite name '" << spec->name << "' is not a file-name stem";
     EXPECT_NE(spec->name, "all");
     EXPECT_NE(spec->name, "smoke");
+  }
+}
+
+// Baselines and results are keyed on config names, so every suite name must
+// be the canonical spelling ParcelportConfig::name() prints back.
+TEST(SuiteRegistry, ConfigNamesRoundTrip) {
+  bench::suites::register_all();
+  for (const SuiteSpec* spec : SuiteRegistry::instance().all()) {
+    for (const PointSpec& point : spec->points) {
+      if (point.parcelport.empty()) continue;
+      EXPECT_EQ(amt::ParcelportConfig::parse(point.parcelport).name(),
+                point.parcelport)
+          << spec->name;
+    }
   }
 }
 
@@ -397,50 +413,67 @@ TEST(Render, CommittedDocsCarryTheMarkers) {
 
 // ---- knob registry vs the tree --------------------------------------------
 
-TEST(KnobRegistry, CoversEveryEnvironmentVariableReadInTheTree) {
+// Two-way: every AMTNET_* variable the tree reads has a kEnv row, and every
+// kEnv row is read somewhere — a deleted read whose row lingers fails too.
+TEST(KnobRegistry, EnvironmentRowsMatchTheReadsInTheTree) {
   std::set<std::string> known;
   for (const common::Knob& knob : common::knob_registry()) {
     if (knob.kind == common::Knob::Kind::kEnv) known.insert(knob.name);
   }
-  ASSERT_FALSE(known.empty());
+  EXPECT_EQ(known.size(), 17u);
 
-  // Scan every source file for getenv("AMTNET_...") reads.
+  // Scan every source file for getenv / env_int calls whose first argument
+  // is an AMTNET_ string literal.
   std::set<std::string> used;
   const std::string root = AMTNET_REPO_ROOT;
-  for (const char* dir : {"/src", "/bench", "/tools"}) {
+  for (const char* dir : {"/src", "/bench", "/tools", "/tests",
+                          "/perfbench/src"}) {
     const std::string base = root + dir;
     if (!std::filesystem::exists(base)) continue;
     for (const auto& entry :
          std::filesystem::recursive_directory_iterator(base)) {
-      const std::string path = entry.path().string();
-      if (path.size() < 4) continue;
       const std::string ext = entry.path().extension().string();
       if (ext != ".cpp" && ext != ".hpp") continue;
-      const std::string text = read_all(path);
-      const std::string needle = "getenv(\"AMTNET_";
-      for (std::size_t pos = text.find(needle); pos != std::string::npos;
-           pos = text.find(needle, pos + 1)) {
-        const std::size_t begin = pos + std::string("getenv(\"").size();
-        const std::size_t end = text.find('"', begin);
-        if (end != std::string::npos) used.insert(text.substr(begin, end - begin));
+      const std::string text = read_all(entry.path().string());
+      for (const std::string reader : {"getenv(", "env_int("}) {
+        for (std::size_t pos = text.find(reader); pos != std::string::npos;
+             pos = text.find(reader, pos + 1)) {
+          // The literal may sit on the next line after a wrapped call.
+          std::size_t begin = text.find_first_not_of(" \t\r\n",
+                                                     pos + reader.size());
+          if (begin == std::string::npos ||
+              text.compare(begin, 8, "\"AMTNET_") != 0) {
+            continue;
+          }
+          ++begin;
+          const std::size_t end = text.find('"', begin);
+          if (end != std::string::npos) {
+            used.insert(text.substr(begin, end - begin));
+          }
+        }
       }
-      // Composite reads (env_double("AMTNET_FAULT_" + name)) are listed in
-      // the registry individually; cover the direct string literals here.
     }
   }
-  ASSERT_FALSE(used.empty());
-  std::vector<std::string> missing;
+  const auto joined = [](const std::vector<std::string>& names) {
+    std::string out;
+    for (const auto& name : names) out += name + " ";
+    return out;
+  };
+  std::vector<std::string> unregistered;
   for (const std::string& name : used) {
-    if (known.count(name) == 0) missing.push_back(name);
+    if (known.count(name) == 0) unregistered.push_back(name);
   }
-  EXPECT_TRUE(missing.empty())
+  EXPECT_TRUE(unregistered.empty())
       << "environment variables read in the tree but absent from "
          "common::knob_registry() (docs/tuning.md would go stale): "
-      << [&] {
-           std::string joined;
-           for (const auto& name : missing) joined += name + " ";
-           return joined;
-         }();
+      << joined(unregistered);
+  std::vector<std::string> unread;
+  for (const std::string& name : known) {
+    if (used.count(name) == 0) unread.push_back(name);
+  }
+  EXPECT_TRUE(unread.empty())
+      << "kEnv rows that nothing in the tree reads (delete the row): "
+      << joined(unread);
 }
 
 TEST(KnobRegistry, NamesAreUniqueAndDescribed) {

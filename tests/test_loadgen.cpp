@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <numeric>
 
 #include "common/clock.hpp"
@@ -128,10 +127,9 @@ TEST(OpenLoop, ScheduleHashReproducibleAcrossRuns) {
   EXPECT_EQ(a.schedule_hash, b.schedule_hash);
   EXPECT_NE(a.schedule_hash, 0u);
 
-  // AMTNET_LOADGEN_SEED overrides the configured seed.
-  ::setenv("AMTNET_LOADGEN_SEED", "99991", 1);
+  // A different seed draws a different schedule.
+  params.arrival.seed = 99991;
   const Result c = loadgen::run_open_loop(params);
-  ::unsetenv("AMTNET_LOADGEN_SEED");
   EXPECT_NE(c.schedule_hash, a.schedule_hash);
 }
 
@@ -174,9 +172,8 @@ TEST(OpenLoop, DeadlinePolicyDropsStaleParcels) {
   params.max_connections = 1;
   params.requests = 1500;
   params.arrival.rate_rps = 6000.0;
-  ::setenv("AMTNET_ADMIT_DEADLINE_US", "500", 1);
+  params.admit_deadline_us = 500;
   const Result result = loadgen::run_open_loop(params);
-  ::unsetenv("AMTNET_ADMIT_DEADLINE_US");
   EXPECT_TRUE(result.conserved);
   EXPECT_GT(result.deadline_drops, 0u);
   EXPECT_EQ(result.accepted, result.completed + result.deadline_drops);

@@ -785,8 +785,8 @@ INSTANTIATE_TEST_SUITE_P(
 // over a 4-rail reordering fabric. Small floods in both directions coalesce
 // into batch frames while zchunk-heavy round trips ride the fallback path
 // mid-stream; the exact sums catch any lost, duplicated, or misrouted
-// sub-parcel. The aggoff row pins the kill switch to the bit-identical
-// non-batching behaviour.
+// sub-parcel. The row without an agg token pins aggregation-off to the
+// bit-identical non-batching behaviour.
 class LciAggregationE2E : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(LciAggregationE2E, BackpressuredMixedTrafficDeliversExactly) {
@@ -841,10 +841,10 @@ INSTANTIATE_TEST_SUITE_P(
                       "lci_sr_sy_pin_fp_agg2048_i_block16",
                       "lci_sr_sy_mt_fp_agg2048_i_block16",
                       // regression rows: a tight age deadline, a small cap
-                      // that evicts constantly, and the kill switch
+                      // that evicts constantly, and aggregation off
                       "lci_psr_cq_mt_fp_agg1024_aggt50_i_block8",
                       "lci_psr_cq_mt_fp_agg128_aggt100_i_block16",
-                      "lci_psr_cq_mt_fp_aggoff_i_block16"),
+                      "lci_psr_cq_mt_fp_i_block16"),
     [](const ::testing::TestParamInfo<const char*>& info) {
       return std::string(info.param);
     });
