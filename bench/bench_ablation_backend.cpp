@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -31,6 +32,7 @@
 
 #include "common/affinity.hpp"
 #include "common/clock.hpp"
+#include "common/config.hpp"
 #include "expdriver/driver.hpp"
 #include "fabric/backend_shm.hpp"
 #include "stack/stack.hpp"
@@ -132,16 +134,26 @@ double run_single_process_arm(std::size_t per_pair, unsigned workers) {
 }
 
 int run_spmd_rate(std::size_t per_pair) {
-  const char* rank_env = std::getenv("AMTNET_SHM_RANK");
-  const char* ranks_env = std::getenv("AMTNET_SHM_RANKS");
-  if (rank_env == nullptr || ranks_env == nullptr) {
+  if (std::getenv("AMTNET_SHM_RANK") == nullptr ||
+      std::getenv("AMTNET_SHM_RANKS") == nullptr) {
     std::fprintf(stderr,
                  "--spmd-rate requires the amtnet_launch environment "
                  "(AMTNET_SHM_RANK / AMTNET_SHM_RANKS)\n");
     return 2;
   }
-  const int rank = std::atoi(rank_env);
-  const int ranks = std::atoi(ranks_env);
+  // The same strict reader the stack uses, so a malformed value is refused
+  // by name here instead of reading as rank or count 0.
+  int rank = 0;
+  int ranks = 0;
+  try {
+    ranks = static_cast<int>(common::env_int("AMTNET_SHM_RANKS", 0, 1,
+                                             amtnet::kMaxLaunchRanks));
+    rank = static_cast<int>(common::env_int("AMTNET_SHM_RANK", 0, 0,
+                                            ranks - 1));
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "--spmd-rate: %s\n", error.what());
+    return 2;
+  }
   if (ranks < 2 || ranks % 2 != 0) {
     std::fprintf(stderr, "--spmd-rate needs an even rank count, got %d\n",
                  ranks);

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/clock.hpp"
+#include "common/config.hpp"
 #include "stack/stack.hpp"
 
 namespace {
@@ -90,8 +91,10 @@ int run_spmd(int rank, int rounds) {
 int main(int argc, char** argv) {
   const int rounds = argc > 1 ? std::stoi(argv[1]) : 200;
   // Launched as one-process-per-locality (amtnet_launch sets the rank)?
-  if (const char* rank_env = std::getenv("AMTNET_SHM_RANK")) {
-    return run_spmd(std::atoi(rank_env), rounds);
+  if (std::getenv("AMTNET_SHM_RANK") != nullptr) {
+    return run_spmd(static_cast<int>(common::env_int(
+                        "AMTNET_SHM_RANK", 0, 0, amtnet::kMaxLaunchRanks - 1)),
+                    rounds);
   }
   std::printf("%-20s %10s %14s\n", "config", "size(B)", "latency(us)");
 

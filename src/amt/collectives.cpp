@@ -96,18 +96,6 @@ const char* coll_algo_name(CollAlgo algo) {
   return "unknown";
 }
 
-CollTuning coll_tuning(const std::string& config_token) {
-  if (!config_token.empty() && config_token != "central" &&
-      config_token != "tree" && config_token != "rd" &&
-      config_token != "ring") {
-    throw std::invalid_argument("unknown collective algorithm family: " +
-                                config_token);
-  }
-  CollTuning tuning;
-  tuning.force = config_token;
-  return tuning;
-}
-
 CollAlgo select_algorithm(CollOp op, std::size_t bytes, Rank n,
                           const CollTuning& tuning) {
   // A forced family applies wherever the op has a member of that family;
@@ -203,8 +191,7 @@ CollectiveGroup*& CollectiveGroup::slot(Rank rank) {
 }
 
 CollectiveGroup::CollectiveGroup(Runtime& runtime)
-    : CollectiveGroup(runtime,
-                      coll_tuning(runtime.config().parcelport.coll)) {}
+    : CollectiveGroup(runtime, CollTuning{}) {}
 
 CollectiveGroup::CollectiveGroup(Runtime& runtime, const CollTuning& tuning)
     : runtime_(runtime),
@@ -215,10 +202,17 @@ CollectiveGroup::CollectiveGroup(Runtime& runtime, const CollTuning& tuning)
       msgs_(runtime.telemetry().counter("amt/coll/msgs")),
       bytes_(runtime.telemetry().counter("amt/coll/bytes")),
       depth_(runtime.telemetry().counter("amt/coll/depth")) {
+  if (!tuning.force.empty()) {
+    throw std::invalid_argument(
+        "CollTuning::force must be empty: the family comes from the "
+        "coll<ALGO> config token");
+  }
   if (tuning_.seg_bytes == 0 || tuning_.window < 2) {
     throw std::invalid_argument(
         "CollTuning needs seg_bytes >= 1 and window >= 2");
   }
+  // ParcelportConfig::parse already rejected unknown families.
+  tuning_.force = runtime.config().parcelport.coll;
   window_.reserve(tuning_.window);
   for (std::size_t i = 0; i < tuning_.window; ++i) {
     window_.push_back(std::make_unique<RoundSlot>());

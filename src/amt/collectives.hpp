@@ -16,8 +16,8 @@
 //
 // plus the centralised variants kept as the measurable baseline. The
 // algorithm is chosen per call by payload size x locality count through
-// select_algorithm(); a `coll<ALGO>` config token or an explicit CollTuning
-// overrides it (docs/collectives.md documents the model, and a test
+// select_algorithm(); a `coll<ALGO>` config token, the only way to force a
+// family, overrides it (docs/collectives.md documents the model, and a test
 // cross-checks the doc against collective_selection_table_markdown()).
 //
 // Round matching: every rank's n-th collective call joins epoch n (per-rank
@@ -88,11 +88,6 @@ struct CollTuning {
   std::size_t window = 16;          // in-flight round slots (>= 2)
 };
 
-/// Default tuning with `config_token` (the parcelport's coll token value)
-/// as the forced family. Throws std::invalid_argument for an unknown
-/// family name.
-CollTuning coll_tuning(const std::string& config_token);
-
 /// The documented selection model: payload size x locality count ->
 /// algorithm, honouring the forced family where it applies to the op.
 /// docs/collectives.md embeds collective_selection_table_markdown() output
@@ -118,10 +113,11 @@ class CollectiveGroup {
   /// One group per runtime; registers itself in the per-rank slots used by
   /// the action entry points. Construct after Runtime::start, destroy
   /// before Runtime::stop.
-  /// The tuning comes from the runtime's coll<ALGO> token.
+  /// Default segment size, crossover and window.
   explicit CollectiveGroup(Runtime& runtime);
-  /// Explicit tuning (segment size, crossover, window). Throws
-  /// std::invalid_argument for seg_bytes 0 or a window below 2.
+  /// Explicit segment size, crossover and window. The family always comes
+  /// from the runtime's coll<ALGO> token: throws std::invalid_argument for
+  /// a non-empty tuning.force, seg_bytes 0 or a window below 2.
   CollectiveGroup(Runtime& runtime, const CollTuning& tuning);
   ~CollectiveGroup();
   CollectiveGroup(const CollectiveGroup&) = delete;

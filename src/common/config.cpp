@@ -9,8 +9,8 @@
 namespace common {
 
 namespace {
-// Trims on a view so each piece is built once, already trimmed (no
-// temporary substr copies).
+// Trims on a view so the key and value strings are built once, already
+// trimmed (no temporary substr copies).
 std::string_view trim(std::string_view text) {
   const auto begin = text.find_first_not_of(" \t\r\n");
   if (begin == std::string_view::npos) return {};
@@ -34,6 +34,62 @@ std::vector<std::string> split_trim(const std::string& text, char delim) {
   }
   while (!out.empty() && out.back().empty()) out.pop_back();
   return out;
+}
+
+KvConfig KvConfig::parse(const std::string& text) {
+  KvConfig config;
+  for (const auto& piece : split_trim(text, ',')) {
+    if (piece.empty()) continue;
+    const std::string_view view(piece);
+    const auto eq = view.find('=');
+    if (eq == std::string_view::npos) {
+      // A bare key acts as a boolean flag.
+      config.kv_.insert_or_assign(piece, std::string("1"));
+    } else {
+      config.kv_.insert_or_assign(std::string(trim(view.substr(0, eq))),
+                                  std::string(trim(view.substr(eq + 1))));
+    }
+  }
+  return config;
+}
+
+std::optional<std::string> KvConfig::get(const std::string& key) const {
+  const auto it = kv_.find(key);
+  if (it == kv_.end()) return std::nullopt;
+  return it->second;
+}
+
+std::string KvConfig::get_or(const std::string& key,
+                             const std::string& fallback) const {
+  return get(key).value_or(fallback);
+}
+
+std::int64_t KvConfig::get_int_or(const std::string& key,
+                                  std::int64_t fallback) const {
+  const auto value = get(key);
+  if (!value) return fallback;
+  return std::strtoll(value->c_str(), nullptr, 10);
+}
+
+double KvConfig::get_double_or(const std::string& key, double fallback) const {
+  const auto value = get(key);
+  if (!value) return fallback;
+  return std::strtod(value->c_str(), nullptr);
+}
+
+bool KvConfig::get_bool_or(const std::string& key, bool fallback) const {
+  const auto value = get(key);
+  if (!value) return fallback;
+  return *value == "1" || *value == "true" || *value == "yes" ||
+         *value == "on";
+}
+
+void KvConfig::set(const std::string& key, const std::string& value) {
+  kv_[key] = value;
+}
+
+bool KvConfig::contains(const std::string& key) const {
+  return kv_.count(key) != 0;
 }
 
 std::int64_t env_int(const char* name, std::int64_t fallback,

@@ -1,14 +1,37 @@
-// Configuration helpers: the token splitter behind the paper's Table-1
-// config names (lci_psr_cq_pin_i, ...), the strict integer reader for the
-// few AMTNET_* environment variables that remain, and the knob registry
-// that documents every tuning surface in one table.
+// Configuration helpers: a tiny "key=value,key=value" string parser, the
+// token splitter behind the paper's Table-1 config names (lci_psr_cq_pin_i,
+// ...), the strict integer reader for the few AMTNET_* environment variables
+// that remain, and the knob registry that documents every tuning surface in
+// one table.
 #pragma once
 
 #include <cstdint>
+#include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 namespace common {
+
+class KvConfig {
+ public:
+  KvConfig() = default;
+  /// Parses "a=1,b=foo". Whitespace around keys/values is trimmed.
+  static KvConfig parse(const std::string& text);
+
+  std::optional<std::string> get(const std::string& key) const;
+  std::string get_or(const std::string& key, const std::string& fallback) const;
+  std::int64_t get_int_or(const std::string& key, std::int64_t fallback) const;
+  double get_double_or(const std::string& key, double fallback) const;
+  bool get_bool_or(const std::string& key, bool fallback) const;
+
+  void set(const std::string& key, const std::string& value);
+  bool contains(const std::string& key) const;
+  const std::map<std::string, std::string>& entries() const { return kv_; }
+
+ private:
+  std::map<std::string, std::string> kv_;
+};
 
 /// Splits on a delimiter, trimming whitespace from each piece.
 std::vector<std::string> split_trim(const std::string& text, char delim);

@@ -4,6 +4,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+
+#include "common/config.hpp"
 
 namespace expdriver {
 
@@ -80,10 +83,9 @@ SuiteResult run_suite(const SuiteSpec& spec, const RunEnv& env,
       backend != nullptr && *backend != '\0') {
     result.backend = backend;
   }
-  if (const char* rank = std::getenv("AMTNET_SHM_RANK");
-      rank != nullptr && *rank != '\0') {
-    result.local_rank = std::atoi(rank);
-  }
+  result.local_rank = static_cast<int>(common::env_int(
+      "AMTNET_SHM_RANK", result.local_rank, -1,
+      std::numeric_limits<int>::max()));
   result.env = env;
   result.points.reserve(spec.points.size());
 

@@ -10,13 +10,6 @@
 
 namespace amtnet {
 
-namespace {
-// Upper bound for AMTNET_SHM_RANKS: far above any single host's rank count,
-// low enough that a wrapped negative value is refused rather than
-// allocating per-rank state for 2^32 localities.
-constexpr std::int64_t kMaxLaunchRanks = 1 << 16;
-}  // namespace
-
 amt::Runtime::ParcelportFactory default_parcelport_factory() {
   return [](amt::Runtime&, const amt::ParcelportContext& context)
              -> std::unique_ptr<amt::Parcelport> {

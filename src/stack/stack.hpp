@@ -3,6 +3,7 @@
 // entry point using the paper's Table-1 configuration names.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -10,6 +11,11 @@
 #include "fabric/fault.hpp"
 
 namespace amtnet {
+
+/// Upper bound for AMTNET_SHM_RANKS: far above any single host's rank count,
+/// low enough that a wrapped negative value is refused rather than
+/// allocating per-rank state for 2^32 localities.
+inline constexpr std::int64_t kMaxLaunchRanks = 1 << 16;
 
 /// Factory dispatching on ParcelportConfig::kind: "mpi*" names build the MPI
 /// parcelport over minimpi, "lci*" names the LCI parcelport over minilci.

@@ -705,6 +705,10 @@ TEST(ParcelportConfigTest, RejectsUnknownTokens) {
   // Only the paper's two parcelports exist; "tcp" is an unknown token.
   EXPECT_THROW(amt::ParcelportConfig::parse("tcp"), std::invalid_argument);
   EXPECT_THROW(amt::ParcelportConfig::parse("tcp_i"), std::invalid_argument);
+  // The token is the only way to force a collective family, so an unknown
+  // family fails here, at parse time.
+  EXPECT_THROW(amt::ParcelportConfig::parse("mpi_i_collbogus"),
+               std::invalid_argument);
   // Spellings of "no token" are not tokens: leaving the token out is the one
   // way to ask for unbounded depth/tickets, no aggregation, auto collectives.
   for (const char* name : {"lci_psr_cq_pin_pdinf", "lci_psr_cq_mt_ptinf",

@@ -274,6 +274,28 @@ TEST(CollectivesLargePayload, SegmentedBroadcastAndRingAllreduce) {
   runtime->stop();
 }
 
+// An explicit CollTuning sets only the segment size, crossover and window:
+// the family still comes from the runtime's coll<ALGO> token, and a tuning
+// that tries to force one is rejected rather than silently ignored.
+TEST(CollectivesTuning, FamilyComesFromTheConfigToken) {
+  amtnet::StackOptions options;
+  options.parcelport = "lci_psr_cq_pin_i_collrd";
+  options.num_localities = 2;
+  options.threads_per_locality = 1;
+  auto runtime = amtnet::make_runtime(options);
+  amt::CollTuning tuning;
+  tuning.force = "ring";
+  EXPECT_THROW(CollectiveGroup(*runtime, tuning), std::invalid_argument);
+  tuning.force.clear();
+  tuning.seg_bytes = 512;
+  {
+    CollectiveGroup group(*runtime, tuning);
+    EXPECT_EQ(group.tuning().force, "rd");
+    EXPECT_EQ(group.tuning().seg_bytes, 512u);
+  }
+  runtime->stop();
+}
+
 // Regression shape for the unbounded-round-state hazard of the former
 // implementation (one SpinMutex'd map keyed by epoch, cleaned only when
 // leavers drained): a 4-rail fabric reorders packets across rails, and a
@@ -364,8 +386,6 @@ TEST(CollectiveSelection, ForcedFamiliesAndAutoCrossovers) {
   t.force = "central";
   EXPECT_EQ(amt::select_algorithm(CollOp::kAllreduce, 65536, 16, t),
             CollAlgo::kCentral);
-  EXPECT_THROW(amt::coll_tuning("bogus"), std::invalid_argument);
-  EXPECT_EQ(amt::coll_tuning("rd").force, "rd");
 }
 
 // ---- TSan-targetable stress floods (CI runs --gtest_filter=CollectiveStress.*)

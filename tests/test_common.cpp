@@ -1,4 +1,4 @@
-// Unit tests for src/common: token splitting, the strict env reader, RNG
+// Unit tests for src/common: config parsing, the strict env reader, RNG
 // determinism, spin locks, clock, and cache-padding invariants.
 #include <gtest/gtest.h>
 
@@ -20,6 +20,49 @@
 #include "common/rng.hpp"
 #include "common/spinlock.hpp"
 #include "common/status.hpp"
+
+TEST(KvConfig, ParsesKeyValuePairs) {
+  const auto config = common::KvConfig::parse("a=1, b = two ,c=3.5");
+  EXPECT_EQ(config.get_int_or("a", -1), 1);
+  EXPECT_EQ(config.get_or("b", ""), "two");
+  EXPECT_DOUBLE_EQ(config.get_double_or("c", 0.0), 3.5);
+}
+
+TEST(KvConfig, MissingKeysFallBack) {
+  const auto config = common::KvConfig::parse("x=1");
+  EXPECT_EQ(config.get_int_or("y", 42), 42);
+  EXPECT_EQ(config.get_or("z", "dflt"), "dflt");
+  EXPECT_FALSE(config.get("y").has_value());
+}
+
+TEST(KvConfig, BareKeyIsBooleanFlag) {
+  const auto config = common::KvConfig::parse("verbose,count=2");
+  EXPECT_TRUE(config.get_bool_or("verbose", false));
+  EXPECT_FALSE(config.get_bool_or("quiet", false));
+  EXPECT_EQ(config.get_int_or("count", 0), 2);
+}
+
+TEST(KvConfig, BoolSpellings) {
+  const auto config =
+      common::KvConfig::parse("a=true,b=yes,c=on,d=1,e=0,f=false");
+  EXPECT_TRUE(config.get_bool_or("a", false));
+  EXPECT_TRUE(config.get_bool_or("b", false));
+  EXPECT_TRUE(config.get_bool_or("c", false));
+  EXPECT_TRUE(config.get_bool_or("d", false));
+  EXPECT_FALSE(config.get_bool_or("e", true));
+  EXPECT_FALSE(config.get_bool_or("f", true));
+}
+
+TEST(KvConfig, EmptyString) {
+  const auto config = common::KvConfig::parse("");
+  EXPECT_TRUE(config.entries().empty());
+}
+
+TEST(KvConfig, SetOverridesParsed) {
+  auto config = common::KvConfig::parse("a=1");
+  config.set("a", "2");
+  EXPECT_EQ(config.get_int_or("a", 0), 2);
+}
 
 TEST(EnvInt, StrictWholeIntegersInRange) {
   constexpr const char* kName = "ENV_INT_TEST_VALUE";
